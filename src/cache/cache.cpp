@@ -436,22 +436,12 @@ void merge_misses(HitScan& scan, ReportCache* cache,
     for (std::size_t j = 0; j < analyzed.size(); ++j) {
         std::size_t i = scan.miss_index[j];
         scan.batch.items[i] = std::move(analyzed[j]);
-        if (!scan.batch.items[i].ok()) continue;
-        // Per-run counter deltas are snapshot windows of the process-global
-        // metrics registry; whenever analyses overlap — batch --jobs, or
-        // concurrent daemon connections — the windows contaminate each
-        // other, so the values are not a function of the input bytes. A
-        // cached report must be exactly that function, and it is stripped
-        // on the served copy too (not just the stored one) so a cold miss
-        // and its warm replay stay byte-identical. The aggregate registry
-        // (--metrics, --metrics-prom) keeps the exact counts.
-        core::AnalysisReport& report = *scan.batch.items[i].report;
-        report.stats.counters.clear();
-        report.audit.unmodeled_apis.clear();
         // Errors are never cached: a contained failure must re-analyze next
         // time (the failure may be environmental, and serving a stored
         // error for content that now analyzes would be wrong output).
-        if (cache != nullptr) cache->store(scan.keys[i], report);
+        if (cache != nullptr && scan.batch.items[i].ok()) {
+            cache->store(scan.keys[i], *scan.batch.items[i].report);
+        }
     }
 }
 

@@ -7,15 +7,9 @@
 // check can catch that; never std::hash and never intern Symbol ids (the
 // PR 7 stability contract: nothing process-local may reach persisted
 // state). A hit bypasses the whole analyzer and replays the stored report
-// byte-identically, including the cold run's timings.
-//
-// Reports routed through analyze_batch_cached carry no per-run
-// stats.counters window and no counter-derived audit.unmodeled_apis table:
-// those are deltas of the process-global metrics registry, so overlapping
-// analyses (batch --jobs, concurrent daemon requests) contaminate each
-// other's windows — the values are not a function of the input bytes and
-// must never be persisted or served. The global registry (--metrics,
-// --metrics-prom) keeps the exact aggregates.
+// byte-identically, including the cold run's timings and its per-run
+// stats.counters and audit.unmodeled_apis, which obs::RunScope makes a
+// pure function of the input bytes however many analyses overlap.
 //
 // On-disk envelope (`extractocol.cache/v1`): one ASCII header line
 //
@@ -159,10 +153,7 @@ struct CachedBatch {
 /// Cache-aware analyze_batch: serves hits from `cache`, runs the misses
 /// through one Analyzer::analyze_batch (keeping the --jobs pool semantics),
 /// stores every successful miss, and merges results back in input order.
-/// Error items are never cached. Successful reports are served with
-/// stats.counters / audit.unmodeled_apis stripped (see file comment) so a
-/// report on this path is a pure function of its input bytes. `cache` may
-/// be null (everything misses; reports are still stripped).
+/// Error items are never cached. `cache` may be null (everything misses).
 /// This overload reuses a long-lived analyzer (the --serve daemon's warm
 /// semantic model).
 [[nodiscard]] CachedBatch analyze_batch_cached(const core::Analyzer& analyzer,

@@ -81,7 +81,10 @@ Analyzer::Analyzer(AnalyzerOptions options)
 
 AnalysisReport Analyzer::analyze(const Program& input_program) const {
     auto start = std::chrono::steady_clock::now();
-    obs::MetricsSnapshot counters_before = obs::MetricsRegistry::global().snapshot();
+    // Every counter this run bumps — on this thread, or on a pool worker
+    // inside one of its units — lands in `run`, so stats.counters is exact
+    // however many other analyses share the process.
+    obs::RunScope run;
     obs::Span analyze_span("analyze", "core");
 
     // One pool serves both data-parallel stages (per-site slicing and
@@ -156,23 +159,41 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         report.audit.dp_sites.push_back(std::move(a));
     }
 
-    // Each site slices independently into its own slot; the flatten below is
-    // sequential and in site order, so the transaction order (and therefore
-    // the report) is identical for any thread count.
+    // --profile row key of a DP site (empty when the profiler is off). The
+    // slicing unit and the signature units of one site share it, so both
+    // stages merge into one table row.
+    const bool profiling = obs::Profiler::global().enabled();
+    auto profile_key = [&](const StmtRef& site) {
+        auto it = audit_index.find(site);
+        if (!profiling || it == audit_index.end()) return std::string();
+        const DpSiteAudit& a = report.audit.dp_sites[it->second];
+        return obs::profile_site_key(program->app_name, a.dp, a.location,
+                                     site.method_index, site.block, site.index);
+    };
+
+    // Each site slices independently into its own slot (and its own run
+    // unit); the flatten below is sequential and in site order, so the
+    // transaction order (and therefore the report) is identical for any
+    // thread count.
     //
-    // Sites past the budget cut lose their results (and their steps are not
-    // charged): the cut depends only on the deterministic per-site costs.
+    // Sites past the budget cut lose their results, and neither their steps
+    // nor their counters are charged: the cut depends only on the
+    // deterministic per-site costs.
     std::vector<char> site_budget_hit(sites.size(), 0);
     std::vector<std::vector<slicing::SlicedTransaction>> per_site(sites.size());
     {
         auto stage = budget.stage(sites.size());
+        std::vector<obs::RunScope::Unit> units(sites.size());
         pool.for_each_index(sites.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
+            obs::RunScope::Enter unit(units[i], profile_key(sites[i]),
+                                      obs::RunScope::Stage::kSlice);
             std::size_t steps = 0;
             per_site[i] = slicer.slice_site(sites[i], &steps);
             stage.record(i, steps);
         });
         std::size_t cut = stage.finish();
+        run.fold(units, cut);
         for (std::size_t i = cut; i < sites.size(); ++i) {
             per_site[i].clear();
             site_budget_hit[i] = 1;
@@ -241,23 +262,11 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     std::vector<char> build_capped(sliced.size(), 0);
     {
         auto stage = budget.stage(sliced.size());
+        std::vector<obs::RunScope::Unit> units(sliced.size());
         pool.for_each_index(sliced.size(), [&](std::size_t i) {
             if (stage.should_skip()) return;
-            // Same site key the slicer used for its kSlice scope, so both
-            // stages merge into one --profile row per DP site.
-            std::string profile_key;
-            if (obs::Profiler::global().enabled()) {
-                const StmtRef& site = sliced[i].dp_site;
-                auto audit_it = audit_index.find(site);
-                if (audit_it != audit_index.end()) {
-                    const DpSiteAudit& a = report.audit.dp_sites[audit_it->second];
-                    profile_key = obs::profile_site_key(program->app_name, a.dp, a.location,
-                                                        site.method_index, site.block,
-                                                        site.index);
-                }
-            }
-            obs::ProfileScope profile_scope(std::move(profile_key),
-                                            obs::ProfileScope::Stage::kSig);
+            obs::RunScope::Enter unit(units[i], profile_key(sliced[i].dp_site),
+                                      obs::RunScope::Stage::kSig);
             sig::BuildRequest request;
             request.dp_site = sliced[i].dp_site;
             request.dp = sliced[i].dp;
@@ -270,6 +279,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
             stage.record(i, build_stats.steps);
         });
         std::size_t cut = stage.finish();
+        run.fold(units, cut);
         // Contexts past the cut lose their signatures; their DP sites degrade
         // to the budget_exhausted outcome. A context *kept* but step-capped
         // (per-build cap) keeps its partial signature — its unknown leaves
@@ -450,12 +460,11 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     analyze_span.finish();
     report.stats.analysis_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    report.stats.counters =
-        obs::MetricsRegistry::global().snapshot().delta_since(counters_before).counters;
+    report.stats.counters = run.close();
 
     // Per-symbol unmodeled-API counts travel as counters (every recording
     // site is a plain obs::counter bump); here they are pulled out of the
-    // run's delta into the audit table so --metrics stays readable.
+    // run's counters into the audit table so --metrics stays readable.
     constexpr std::string_view kUnmodeledPrefix = "audit.unmodeled_api.";
     auto& counters = report.stats.counters;
     for (auto it = counters.begin(); it != counters.end();) {
@@ -472,20 +481,6 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
                   if (a.second != b.second) return a.second > b.second;
                   return a.first < b.first;
               });
-
-    // An exhausted budget makes the *work performed* scheduling-dependent:
-    // with several workers, units past the cut may start (and bump engine
-    // counters) before the index-ordered fold detects exhaustion, even though
-    // their results are always dropped. The report must stay byte-identical
-    // for every jobs value, so a budget-exhausted run keeps only the
-    // deterministic budget.* deltas and drops the counter-derived unmodeled
-    // table; the global registry still holds the exact aggregates.
-    if (budget.exhausted()) {
-        std::erase_if(report.stats.counters, [](const auto& entry) {
-            return !strings::starts_with(entry.first, "budget.");
-        });
-        report.audit.unmodeled_apis.clear();
-    }
     return report;
 }
 
@@ -518,8 +513,8 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
     Analyzer inner(std::move(inner_options));
 
     // Per-app peak attribution needs non-overlapping measurement windows, so
-    // it is only meaningful when apps run one at a time (same caveat as the
-    // per-app counter deltas, which concurrent batches clear).
+    // it is only meaningful when apps run one at a time: heap bytes have no
+    // run scope (per-app counters do, and stay exact at any jobs).
     namespace memtrack = support::memtrack;
     const bool track_per_app = app_jobs == 1 && memtrack::enabled();
 

@@ -34,7 +34,7 @@ namespace extractocol::core {
 /// entry (src/cache). Entries written by a different version are cleanly
 /// invalidated instead of served — bump this whenever a pipeline or report
 /// change can alter output bytes for the same input.
-inline constexpr std::string_view kAnalyzerVersion = "9";
+inline constexpr std::string_view kAnalyzerVersion = "10";
 
 struct ReportTransaction {
     sig::TransactionSignature signature;
@@ -78,9 +78,9 @@ struct AnalysisStats {
     /// when the analysis started from .xapk text. The remaining phases
     /// partition analyze(), so their sum tracks `analysis_seconds`.
     std::vector<PhaseTiming> phases;
-    /// obs::MetricsRegistry counter deltas observed during this run (named
-    /// per DESIGN.md "Observability"). Deltas from concurrent analyses on
-    /// other threads are attributed to whichever run snapshots them first.
+    /// Counters bumped by this run (named per DESIGN.md "Observability"),
+    /// name-sorted, zeros dropped. Collected by the run's obs::RunScope, so
+    /// exact under any concurrency and identical for every --jobs value.
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     /// Abstract analysis steps charged against the per-app budget (taint
     /// worklist iterations + signature-builder statement executions). Folded
@@ -91,8 +91,8 @@ struct AnalysisStats {
     bool budget_exhausted = false;
     /// Peak tracked heap bytes attributed to this app's analysis. Filled by
     /// analyze_batch only when support::memtrack is enabled AND apps run
-    /// sequentially (app-level concurrency would overlap the peak windows,
-    /// same caveat as the cleared per-app counters); 0 otherwise.
+    /// sequentially (app-level concurrency would overlap the peak windows);
+    /// 0 otherwise.
     std::uint64_t peak_bytes = 0;
 
     [[nodiscard]] double phase_seconds_total() const {

@@ -364,8 +364,26 @@ Counter& MetricsRegistry::counter(std::string_view name) {
     for (auto& [n, v] : counters_) {
         if (n == name) return *v;
     }
-    counters_.emplace_back(std::string(name), std::unique_ptr<Counter>(new Counter()));
+    auto id = static_cast<std::uint32_t>(counters_.size());
+    counters_.emplace_back(std::string(name),
+                           std::unique_ptr<Counter>(new Counter(id, this == &global())));
     return *counters_.back().second;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::fold_run(
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& counts) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    {
+        auto lock = acquire();
+        for (const auto& [id, n] : counts) {
+            if (n == 0) continue;
+            auto& [name, c] = counters_[id];
+            c->value_.fetch_add(n, std::memory_order_relaxed);
+            out.emplace_back(name, n);
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
@@ -459,6 +477,39 @@ void MetricsRegistry::reset() {
     for (auto& [name, w] : windowed_histograms_) w->reset();
     lock_waits_.store(0, std::memory_order_relaxed);
     lock_wait_ns_.store(0, std::memory_order_relaxed);
+}
+
+// ----------------------------------------------------------- run scopes --
+
+RunScope::Enter::Enter(Unit& unit, std::string site, Stage stage) : prev_(current_) {
+    if (!site.empty()) {
+        unit.profile.site = std::move(site);
+        seconds_ = stage == Stage::kSlice ? &unit.profile.slice_seconds
+                                          : &unit.profile.sig_seconds;
+        start_ = std::chrono::steady_clock::now();
+    }
+    current_ = &unit;
+}
+
+RunScope::Enter::~Enter() {
+    current_ = prev_;
+    if (seconds_ != nullptr) {
+        *seconds_ +=
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    }
+}
+
+void RunScope::fold(std::vector<Unit>& units, std::size_t cut) {
+    for (std::size_t i = 0; i < std::min(cut, units.size()); ++i) {
+        for (const auto& [id, n] : units[i].counts) run_.add(id, n);
+        if (!units[i].profile.site.empty()) Profiler::global().merge_site(units[i].profile);
+    }
+    units.clear();
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> RunScope::close() {
+    bound_.reset();
+    return MetricsRegistry::global().fold_run(run_.counts);
 }
 
 }  // namespace extractocol::obs

@@ -1,15 +1,16 @@
 // Pipeline metrics (observability layer, part 1 of 2 — see trace.hpp).
 //
 // A process-wide MetricsRegistry holds named instruments:
-//   * Counter   — monotonically increasing event count (relaxed atomics);
+//   * Counter   — monotonically increasing event count;
 //   * Gauge     — last-written signed value;
 //   * Histogram — count/sum/min/max summary of observed samples.
 //
 // Hot-loop protocol: acquire the instrument ONCE outside the loop
 // (`obs::Counter& c = obs::counter("taint.worklist_iterations");`) and call
-// `c.add()` inside. Acquisition takes the registry lock and may allocate;
-// `add()` is a single relaxed atomic increment, so instrumented loops stay
-// within noise of uninstrumented ones and never allocate.
+// `c.add()` inside. Acquisition takes the registry lock and may allocate.
+// An `add()` of a global-registry counter inside a RunScope (below) lands
+// in that scope as a plain integer add and reaches the registry when the
+// run folds; outside any scope it is one relaxed atomic increment.
 //
 // Metric names are dot-scoped by pipeline stage (`xapk.`, `slicer.`,
 // `taint.`, `interp.`, `sig.`, `txn.`) and documented in DESIGN.md
@@ -22,10 +23,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "text/json.hpp"
 
 namespace extractocol::obs {
@@ -34,7 +38,9 @@ class MetricsRegistry;
 
 class Counter {
 public:
-    void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+    inline void add(std::uint64_t n = 1);
+    /// Registry total: adds made inside a still-open RunScope are not
+    /// visible here until that run folds.
     [[nodiscard]] std::uint64_t value() const {
         return value_.load(std::memory_order_relaxed);
     }
@@ -45,9 +51,97 @@ public:
 
 private:
     friend class MetricsRegistry;
-    Counter() = default;
+    Counter(std::uint32_t id, bool scoped) : id_(id), scoped_(scoped) {}
     std::atomic<std::uint64_t> value_{0};
+    std::uint32_t id_;  // dense registration index within the registry
+    bool scoped_;       // global-registry counter: run scopes may collect it
 };
+
+// ------------------------------------------------------------ run scopes --
+// Run-scoped attribution (DESIGN.md §8). core::Analyzer::analyze opens one
+// RunScope per run and enters one Unit per parallel work item (a slicing
+// site, a signature context) on whichever pool thread runs it. While a
+// scope is innermost on a thread, adds to global-registry counters land in
+// it as plain integers keyed by counter id, so a run counts exactly its own
+// work. Units fold into the run in index order, below the budget cut
+// only; the run folds once into the registry, the exact process aggregate.
+class RunScope {
+public:
+    enum class Stage { kSlice, kSig };
+
+    /// One scope's accumulator: (Counter id, count) pairs — a unit touches
+    /// a few dozen counters at most — plus the --profile row of a unit
+    /// entered with a site key.
+    struct Unit {
+        std::vector<std::pair<std::uint32_t, std::uint64_t>> counts;
+        SiteProfile profile;
+
+        void add(std::uint32_t id, std::uint64_t n) {
+            for (auto& [counter, count] : counts) {
+                if (counter == id) {
+                    count += n;
+                    return;
+                }
+            }
+            counts.emplace_back(id, n);
+        }
+    };
+
+    /// Makes `unit` the innermost scope on this thread until destruction;
+    /// a non-empty `site` names the unit's --profile row and times it.
+    class Enter {
+    public:
+        explicit Enter(Unit& unit, std::string site = {}, Stage stage = Stage::kSlice);
+        ~Enter();
+        Enter(const Enter&) = delete;
+        Enter& operator=(const Enter&) = delete;
+
+    private:
+        Unit* prev_;
+        double* seconds_ = nullptr;
+        std::chrono::steady_clock::time_point start_;
+    };
+
+    /// Opens the run as the innermost scope on this thread. A run destroyed
+    /// without close() (an exception unwound it) unbinds and counts nowhere.
+    RunScope() = default;
+
+    /// Folds units [0, cut) into the run in index order and discards the
+    /// rest: work past the budget cut never counts.
+    void fold(std::vector<Unit>& units, std::size_t cut);
+
+    /// Unbinds the run, adds its counts to the registry, and returns them
+    /// as name-sorted non-zero (name, value) pairs. Call once.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> close();
+
+    /// --profile charges to the innermost scope on this thread; they reach
+    /// the profiler only from a unit entered with a site.
+    static void charge_taint_steps(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.taint_steps += n;
+    }
+    static void charge_interp_stmts(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.sig_steps += n;
+    }
+    static void charge_contexts(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.contexts += n;
+    }
+
+private:
+    friend class Counter;
+    static inline thread_local Unit* current_ = nullptr;
+
+    Unit run_;
+    std::optional<Enter> bound_{std::in_place, run_};
+};
+
+inline void Counter::add(std::uint64_t n) {
+    RunScope::Unit* scope = RunScope::current_;
+    if (scope != nullptr && scoped_) {
+        scope->add(id_, n);
+    } else {
+        value_.fetch_add(n, std::memory_order_relaxed);
+    }
+}
 
 class Gauge {
 public:
@@ -284,6 +378,12 @@ public:
     void reset();
 
 private:
+    friend class RunScope;
+    /// Adds a closed run's per-id counts to the counters; returns them
+    /// named, non-zero only, sorted by name.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> fold_run(
+        const std::vector<std::pair<std::uint32_t, std::uint64_t>>& counts);
+
     /// Locks mutex_, attributing any blocking wait to the lock-contention
     /// accumulators (try_lock first, so the uncontended path costs nothing).
     [[nodiscard]] std::unique_lock<std::mutex> acquire() const;

@@ -9,22 +9,6 @@
 
 namespace extractocol::obs {
 
-namespace {
-
-thread_local ProfileScope* t_scope = nullptr;
-
-// Innermost-scope accumulators, reachable from the static charge helpers
-// without exposing ProfileScope internals. Declared here so the thread_local
-// lives in exactly one TU.
-struct ScopeCharges {
-    std::uint64_t* taint_steps = nullptr;
-    std::uint64_t* interp_stmts = nullptr;
-    std::uint64_t* contexts = nullptr;
-};
-thread_local ScopeCharges t_charges;
-
-}  // namespace
-
 Profiler& Profiler::global() {
     static Profiler instance;
     return instance;
@@ -177,53 +161,6 @@ text::Json Profiler::summary_json() const {
     doc.set("interp_stmts", text::Json(static_cast<std::int64_t>(interp_stmts)));
     doc.set("contexts", text::Json(static_cast<std::int64_t>(contexts)));
     return doc;
-}
-
-// ------------------------------------------------------------ ProfileScope
-
-ProfileScope::ProfileScope(std::string site_key, Stage stage)
-    : stage_(stage), site_(std::move(site_key)) {
-    if (site_.empty() || !Profiler::global().enabled()) return;
-    active_ = true;
-    start_ = std::chrono::steady_clock::now();
-    prev_ = t_scope;
-    t_scope = this;
-    t_charges = {&taint_steps_, &interp_stmts_, &contexts_};
-}
-
-ProfileScope::~ProfileScope() {
-    if (!active_) return;
-    t_scope = prev_;
-    if (prev_ != nullptr) {
-        t_charges = {&prev_->taint_steps_, &prev_->interp_stmts_, &prev_->contexts_};
-    } else {
-        t_charges = {};
-    }
-    double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-                         .count();
-    SiteProfile delta;
-    delta.site = std::move(site_);
-    delta.taint_steps = taint_steps_;
-    delta.sig_steps = interp_stmts_;
-    delta.contexts = contexts_;
-    if (stage_ == Stage::kSlice) {
-        delta.slice_seconds = seconds;
-    } else {
-        delta.sig_seconds = seconds;
-    }
-    Profiler::global().merge_site(delta);
-}
-
-void ProfileScope::charge_taint_steps(std::uint64_t n) {
-    if (t_charges.taint_steps != nullptr) *t_charges.taint_steps += n;
-}
-
-void ProfileScope::charge_interp_stmts(std::uint64_t n) {
-    if (t_charges.interp_stmts != nullptr) *t_charges.interp_stmts += n;
-}
-
-void ProfileScope::charge_contexts(std::uint64_t n) {
-    if (t_charges.contexts != nullptr) *t_charges.contexts += n;
 }
 
 std::string profile_site_key(std::string_view app, std::string_view dp,

@@ -12,19 +12,20 @@
 //    runs, so it is confined to the `--profile-out` sidecar JSON, which is
 //    exempt from the determinism contract.
 //  * Everything is gated on a single relaxed atomic; a disabled profiler
-//    costs one load per scope and nothing per step (engines keep local
+//    costs one load per analysis run and nothing per step (engines keep local
 //    accumulators and flush once per run).
 //
-// Instrumented producers: slicing/slicer.cpp (site scopes, contexts),
-// taint/engine.cpp (steps per run + per-method worklist iterations),
-// sig/builder.cpp (interpreter steps per build + per-method statements),
-// interp/interpreter.cpp (fuzzing statements per method), core/analyzer.cpp
-// (sig-stage scopes).
+// Per-site rows ride on the analyzer's obs::RunScope units: core/analyzer.cpp
+// enters one unit per slicing site and per signature context under the
+// site key, and the engines charge the innermost unit — slicing/slicer.cpp
+// (contexts), taint/engine.cpp (steps per run), sig/builder.cpp
+// (interpreter steps per build). Per-method rows are charged directly:
+// taint/engine.cpp (worklist iterations), sig/builder.cpp and
+// interp/interpreter.cpp (statements).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -92,38 +93,9 @@ private:
     std::unordered_map<std::string, MethodProfile> methods_;
 };
 
-/// RAII attribution window for one DP site on the current thread. Engines
-/// running inside the scope charge work to it via the static helpers; the
-/// destructor folds the accumulated delta into Profiler::global(). Inactive
-/// (and free apart from one atomic load) when the profiler is disabled.
-class ProfileScope {
-public:
-    enum class Stage { kSlice, kSig };
-
-    ProfileScope(std::string site_key, Stage stage);
-    ~ProfileScope();
-    ProfileScope(const ProfileScope&) = delete;
-    ProfileScope& operator=(const ProfileScope&) = delete;
-
-    /// Charge work to the innermost active scope on this thread (no-ops
-    /// when none is active, so engines can charge unconditionally).
-    static void charge_taint_steps(std::uint64_t n);
-    static void charge_interp_stmts(std::uint64_t n);
-    static void charge_contexts(std::uint64_t n);
-
-private:
-    bool active_ = false;
-    Stage stage_{Stage::kSlice};
-    std::string site_;
-    std::uint64_t taint_steps_ = 0;
-    std::uint64_t interp_stmts_ = 0;
-    std::uint64_t contexts_ = 0;
-    std::chrono::steady_clock::time_point start_{};
-    ProfileScope* prev_ = nullptr;
-};
-
-/// Canonical site key, shared by the slicer (kSlice scopes) and the
-/// analyzer's sig stage (kSig scopes) so both stages merge into one row.
+/// Canonical site key, shared by the analyzer's slicing units (kSlice) and
+/// signature units (kSig) so both stages merge into one row. Site rows are
+/// charged through obs::RunScope units (obs/metrics.hpp).
 [[nodiscard]] std::string profile_site_key(std::string_view app, std::string_view dp,
                                            std::string_view location, std::uint32_t method_index,
                                            std::uint32_t block, std::uint32_t index);

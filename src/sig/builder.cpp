@@ -1423,7 +1423,7 @@ public:
     [[nodiscard]] bool step_capped() const { return step_capped_; }
 
     /// Flushes per-method statement counts to the global profiler and the
-    /// interpreted-statement total to the innermost ProfileScope.
+    /// interpreted-statement total to the innermost obs::RunScope unit.
     void flush_profile() const {
         if (method_stmts_.empty()) return;
         obs::Profiler& profiler = obs::Profiler::global();
@@ -1435,7 +1435,7 @@ public:
                                         methods[mi]->ref().qualified()),
                 0, method_stmts_[mi]);
         }
-        obs::ProfileScope::charge_interp_stmts(steps_);
+        obs::RunScope::charge_interp_stmts(steps_);
     }
 };
 

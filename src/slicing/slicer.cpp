@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "support/log.hpp"
 
@@ -72,25 +71,11 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
     obs::Span span("slicing.site", "slicing");
     obs::counter("slicer.dp_sites_sliced").add(1);
 
-    // Attribution window for --profile: the taint engine charges its
-    // worklist steps to this scope; the analyzer's sig stage opens a kSig
-    // scope under the same key, so both stages land on one table row.
-    std::string site_key;
-    if (obs::Profiler::global().enabled()) {
-        const Method& site_method = program_->method_at(site.method_index);
-        site_key = obs::profile_site_key(
-            program_->app_name,
-            call->callee.class_name + "." + call->callee.method_name,
-            site_method.class_name + "." + site_method.name, site.method_index,
-            site.block, site.index);
-    }
-    obs::ProfileScope profile_scope(std::move(site_key), obs::ProfileScope::Stage::kSlice);
-
     // One transaction per acyclic calling context (disjoint sub-slices).
     auto contexts = callgraph_->contexts_reaching(site.method_index, 24,
                                                   options_.max_contexts);
     obs::counter("slicer.contexts").add(contexts.size());
-    obs::ProfileScope::charge_contexts(contexts.size());
+    obs::RunScope::charge_contexts(contexts.size());
 
     // Request/response slices are computed once per DP site (taint is
     // context-insensitive); contexts split the site into transactions.

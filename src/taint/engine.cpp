@@ -1300,7 +1300,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                                         methods[mi]->ref().qualified()),
                 method_iterations[mi], 0);
         }
-        obs::ProfileScope::charge_taint_steps(total_iterations);
+        obs::RunScope::charge_taint_steps(total_iterations);
     }
     obs::counter("taint.slice_statements").add(run.result.statements.size());
     span.finish();

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -280,17 +281,23 @@ TEST(CacheTest, ConcurrentWritersAndReadersNeverSeeTornEntries) {
     });
     std::size_t loads_ok = 0;
     bool mismatch = false;
+    std::atomic<bool> writers_done{false};
     std::thread reader([&] {
-        for (int i = 0; i < kRounds * 2; ++i) {
+        // Reads until the writers have finished and then once more, so at
+        // least one load must hit however the threads are scheduled.
+        for (int i = 0;; ++i) {
+            bool last = writers_done.load() && i >= kRounds * 2;
             if (std::optional<core::AnalysisReport> loaded = report_cache.load(key)) {
                 std::string got = loaded->to_text();
                 if (got != text_a && got != text_b) mismatch = true;
                 ++loads_ok;
             }
+            if (last) break;
         }
     });
     writer_a.join();
     writer_b.join();
+    writers_done = true;
     reader.join();
 
     EXPECT_FALSE(mismatch) << "a load returned a report neither writer stored";
@@ -330,51 +337,70 @@ TEST(CacheTest, EvictionKeepsTheDirectoryUnderMaxBytes) {
     EXPECT_TRUE(report_cache.load(std::string(32, '5')).has_value());
 }
 
-TEST(CacheTest, CachedPathCarriesNoProcessGlobalCounterWindows) {
-    // report.stats.counters (and the counter-derived unmodeled-API table)
-    // are deltas of the process-global metrics registry: overlapping
-    // analyses — batch --jobs, concurrent daemon connections — contaminate
-    // each other's windows. A cached report must be a pure function of its
-    // input bytes, so the cached path strips both on the SERVED report as
-    // well as the stored one (a cold miss and its warm replay must stay
-    // byte-identical).
-    TempCacheDir dir("counter_strip");
-    std::string text = corpus_text("blippex");
-
-    // A direct (uncached) analysis does populate counters — the stripping
-    // below must be the cache path's doing, not a no-op.
-    core::AnalysisReport direct = analyze_text(text);
-    ASSERT_FALSE(direct.stats.counters.empty());
-
+TEST(CacheTest, CachedPathCarriesExactPerRunCounters) {
+    // report.stats.counters and the counter-derived unmodeled-API table are
+    // collected by the run's own obs::RunScope, so they are a pure function
+    // of the input bytes even while another analysis runs in the process.
+    // Cold-served, stored, warm-replayed and null-cache reports must all
+    // carry exactly what a direct jobs-1 analysis of the same bytes does.
+    TempCacheDir dir("exact_counters");
+    std::string text = corpus_text("Letgo");  // has a non-empty unmodeled table
     core::AnalyzerOptions options;
+
+    Result<core::AnalysisReport> direct = core::Analyzer(options).analyze_xapk(text);
+    ASSERT_TRUE(direct.ok());
+    const auto& expected_counters = direct.value().stats.counters;
+    const std::string expected_audit = direct.value().audit.to_json().dump_pretty();
+    ASSERT_FALSE(expected_counters.empty());
+    ASSERT_FALSE(direct.value().audit.unmodeled_apis.empty());
+
+    // A concurrent neighbour on another thread, bumping the same counters.
+    std::atomic<bool> stop{false};
+    std::thread neighbour([&stop] {
+        std::string other = corpus_text("iFixIt");
+        core::Analyzer analyzer;
+        do {
+            (void)analyzer.analyze_xapk(other);
+        } while (!stop.load());
+    });
+
     auto one_input = [&] {
         std::vector<core::BatchInput> inputs;
         inputs.push_back({"app.xapk", text});
         return inputs;
     };
+    auto expect_exact = [&](const core::AnalysisReport& report, const char* what) {
+        EXPECT_EQ(report.stats.counters, expected_counters) << what;
+        EXPECT_EQ(report.audit.to_json().dump_pretty(), expected_audit) << what;
+    };
     cache::ReportCache report_cache(options_for(dir));
     cache::CachedBatch cold =
         cache::analyze_batch_cached(options, &report_cache, one_input());
     ASSERT_TRUE(cold.items[0].ok());
-    EXPECT_TRUE(cold.items[0].report->stats.counters.empty());
-    EXPECT_TRUE(cold.items[0].report->audit.unmodeled_apis.empty());
+    expect_exact(*cold.items[0].report, "cold-served");
+
+    std::optional<core::AnalysisReport> stored =
+        cache::ReportCache(options_for(dir)).load(cache::ReportCache::key_for(text));
+    ASSERT_TRUE(stored.has_value());
+    expect_exact(*stored, "stored");
 
     cache::CachedBatch warm =
         cache::analyze_batch_cached(options, &report_cache, one_input());
     ASSERT_TRUE(warm.items[0].ok());
     EXPECT_EQ(warm.hits, 1u);
-    EXPECT_TRUE(warm.items[0].report->stats.counters.empty());
+    expect_exact(*warm.items[0].report, "warm-replayed");
     EXPECT_EQ(warm.items[0].report->to_json().dump_pretty(),
               cold.items[0].report->to_json().dump_pretty())
         << "warm replay diverged from the cold-served report";
 
-    // Null cache (e.g. a daemon without --cache-dir): still stripped, so
-    // concurrent requests cannot leak each other's counter windows.
+    // Null cache (e.g. a daemon without --cache-dir).
     cache::CachedBatch uncached =
         cache::analyze_batch_cached(options, nullptr, one_input());
     ASSERT_TRUE(uncached.items[0].ok());
-    EXPECT_TRUE(uncached.items[0].report->stats.counters.empty());
-    EXPECT_TRUE(uncached.items[0].report->audit.unmodeled_apis.empty());
+    expect_exact(*uncached.items[0].report, "null-cache");
+
+    stop = true;
+    neighbour.join();
 }
 
 TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {

@@ -8,8 +8,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -166,10 +168,26 @@ TEST(DeterminismTest, BudgetCutIsByteIdenticalAcrossJobCounts) {
             std::string baseline_audit = baseline.audit.to_text();
             std::string baseline_json = normalized_json(baseline);
 
+            // A cut report still carries the exact work of the units below
+            // the cut, not just the budget.* counters.
+            if (baseline.stats.budget_exhausted) {
+                EXPECT_TRUE(std::any_of(baseline.stats.counters.begin(),
+                                        baseline.stats.counters.end(),
+                                        [](const auto& c) {
+                                            return c.first.rfind("budget.", 0) != 0;
+                                        }))
+                    << name << " budget=" << cap << " lost its work counters";
+            }
+
             for (unsigned jobs : {2u, 8u}) {
                 options.jobs = jobs;
                 core::AnalysisReport parallel =
                     core::Analyzer(options).analyze(app.program);
+                EXPECT_EQ(parallel.stats.counters, baseline.stats.counters)
+                    << name << " budget=" << cap << " counters diverged at jobs=" << jobs;
+                EXPECT_EQ(parallel.audit.to_json().dump_pretty(),
+                          baseline.audit.to_json().dump_pretty())
+                    << name << " budget=" << cap << " audit JSON diverged at jobs=" << jobs;
                 EXPECT_EQ(parallel.to_text(), baseline_text)
                     << name << " budget=" << cap << " diverged at jobs=" << jobs;
                 EXPECT_EQ(normalized_json(parallel), baseline_json)
@@ -189,9 +207,11 @@ TEST(DeterminismTest, BudgetCutIsByteIdenticalAcrossJobCounts) {
 TEST(DeterminismTest, BatchErrorIsolationIsByteIdenticalAcrossJobCounts) {
     // analyze_batch contains per-app failures: a poisoned input yields an
     // error item while every other input still reports — and the whole item
-    // list (reports AND error strings) is identical for every jobs value.
+    // list (reports, per-app counters AND error strings) is identical for
+    // every jobs value.
     std::vector<core::BatchInput> inputs;
-    for (const auto& name : {"blippex", "iFixIt"}) {
+    // Letgo has a non-empty unmodeled-API table.
+    for (const auto& name : {"blippex", "iFixIt", "Letgo"}) {
         corpus::CorpusApp app = corpus::build_app(name);
         inputs.push_back({std::string(name) + ".xapk", xapk::write_xapk(app.program)});
     }
@@ -216,20 +236,36 @@ TEST(DeterminismTest, BatchErrorIsolationIsByteIdenticalAcrossJobCounts) {
     EXPECT_NE(baseline[1].error.find("param count"), std::string::npos)
         << baseline[1].error;
     EXPECT_TRUE(baseline[2].ok());
-    EXPECT_FALSE(baseline[3].ok());
+    EXPECT_TRUE(baseline[3].ok());
+    EXPECT_FALSE(baseline[4].ok());
     for (const auto& item : baseline) EXPECT_EQ(item.ok(), item.error.empty());
 
-    for (unsigned jobs : {2u, 8u}) {
+    // Per-app counters and audits (unmodeled-API table included) of a batch
+    // are exactly those of a single-app jobs-1 run of the same input, even
+    // with apps running concurrently.
+    std::vector<std::optional<core::AnalysisReport>> single(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        auto result = core::Analyzer().analyze_xapk(inputs[i].text);
+        if (result.ok()) single[i] = std::move(result).take();
+    }
+
+    for (unsigned jobs : {1u, 2u, 8u}) {
         auto items = run(jobs);
         ASSERT_EQ(items.size(), baseline.size()) << "jobs=" << jobs;
         for (std::size_t i = 0; i < items.size(); ++i) {
             EXPECT_EQ(items[i].file, baseline[i].file) << "jobs=" << jobs;
             EXPECT_EQ(items[i].ok(), baseline[i].ok()) << "jobs=" << jobs;
             EXPECT_EQ(items[i].error, baseline[i].error) << "jobs=" << jobs;
-            if (items[i].ok() && baseline[i].ok()) {
-                EXPECT_EQ(items[i].report->to_text(), baseline[i].report->to_text())
-                    << inputs[i].file << " diverged at jobs=" << jobs;
-            }
+            ASSERT_EQ(items[i].ok(), single[i].has_value()) << inputs[i].file;
+            if (!items[i].ok()) continue;
+            EXPECT_EQ(items[i].report->to_text(), baseline[i].report->to_text())
+                << inputs[i].file << " diverged at jobs=" << jobs;
+            EXPECT_FALSE(items[i].report->stats.counters.empty()) << inputs[i].file;
+            EXPECT_EQ(items[i].report->stats.counters, single[i]->stats.counters)
+                << inputs[i].file << " batch counters diverged at jobs=" << jobs;
+            EXPECT_EQ(items[i].report->audit.to_json().dump_pretty(),
+                      single[i]->audit.to_json().dump_pretty())
+                << inputs[i].file << " batch audit diverged at jobs=" << jobs;
         }
     }
 }

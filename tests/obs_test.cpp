@@ -201,6 +201,47 @@ TEST(Metrics, RegistryReset) {
     ASSERT_NE(snap.counter("test.reset"), nullptr);  // registration survives
 }
 
+TEST(Metrics, RunScopeCountsExactlyItsOwnWork) {
+    // A run collects exactly the adds made on its thread and inside its
+    // folded units, even while another thread bumps the same counter; the
+    // registry receives both. Units past the cut count nowhere, and a
+    // counter of a non-global registry bypasses scopes.
+    obs::Counter& shared = obs::counter("test.run_scope.shared");
+    obs::Counter& unit_only = obs::counter("test.run_scope.unit_only");
+    obs::MetricsRegistry local;
+    obs::Counter& local_counter = local.counter("test.run_scope.local");
+    const std::uint64_t shared_before = shared.value();
+    const std::uint64_t unit_before = unit_only.value();
+
+    std::vector<std::pair<std::string, std::uint64_t>> counts;
+    {
+        obs::RunScope run;
+        std::thread neighbour([&shared] {
+            for (int i = 0; i < 1'000; ++i) shared.add();
+        });
+        shared.add(5);
+        local_counter.add(3);
+        std::vector<obs::RunScope::Unit> units(3);
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            obs::RunScope::Enter unit(units[i]);
+            unit_only.add(10 * (i + 1));  // 10, 20, 30
+            shared.add(1);
+        }
+        run.fold(units, 2);  // unit 2 lies past the cut
+        neighbour.join();
+        EXPECT_EQ(shared.value(), shared_before + 1'000) << "run adds leaked early";
+        counts = run.close();
+        shared.add(7);  // after close: straight to the registry
+    }
+
+    std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"test.run_scope.shared", 7}, {"test.run_scope.unit_only", 30}};
+    EXPECT_EQ(counts, expected);
+    EXPECT_EQ(shared.value(), shared_before + 1'000 + 7 + 7);
+    EXPECT_EQ(unit_only.value(), unit_before + 30);
+    EXPECT_EQ(local_counter.value(), 3u);
+}
+
 TEST(Trace, SpanMeasuresTime) {
     obs::Span span("test.span");
     double t0 = span.seconds();

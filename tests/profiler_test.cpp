@@ -59,10 +59,16 @@ TEST(Profiler, DisabledProfilerCollectsNothing) {
 
     EXPECT_TRUE(profiler.sites().empty());
     EXPECT_TRUE(profiler.methods().empty());
-    // A scope built while disabled must not register charges either.
+    // A unit entered without a site key (what the analyzer does while the
+    // profiler is off) must not register charges either.
     {
-        obs::ProfileScope scope("app|DP @ loc (0:0:0)", obs::ProfileScope::Stage::kSlice);
-        obs::ProfileScope::charge_taint_steps(7);
+        obs::RunScope run;
+        std::vector<obs::RunScope::Unit> units(1);
+        {
+            obs::RunScope::Enter unit(units[0]);
+            obs::RunScope::charge_taint_steps(7);
+        }
+        run.fold(units, 1);
     }
     EXPECT_TRUE(profiler.sites().empty());
 }
@@ -168,41 +174,55 @@ TEST(Profiler, SidecarJsonCarriesTimings) {
     ASSERT_TRUE(reparsed.ok());
 }
 
-TEST(Profiler, ScopesNestAndMergeByStage) {
+TEST(Profiler, RunScopeUnitsNestAndMergeByStageBelowTheCut) {
     obs::Profiler& profiler = obs::Profiler::global();
     profiler.clear();
     profiler.set_enabled(true);
+    using Stage = obs::RunScope::Stage;
 
     // Charges outside any scope are dropped, not crashed.
-    obs::ProfileScope::charge_taint_steps(1);
-    obs::ProfileScope::charge_interp_stmts(1);
-    obs::ProfileScope::charge_contexts(1);
+    obs::RunScope::charge_taint_steps(1);
+    obs::RunScope::charge_interp_stmts(1);
+    obs::RunScope::charge_contexts(1);
 
     const std::string key = obs::profile_site_key("app", "URL.openConnection",
                                                   "com.a.B.run", 3, 1, 2);
     EXPECT_EQ(key, "app|URL.openConnection @ com.a.B.run (3:1:2)");
     {
-        obs::ProfileScope slice(key, obs::ProfileScope::Stage::kSlice);
-        obs::ProfileScope::charge_taint_steps(10);
-        obs::ProfileScope::charge_contexts(2);
+        obs::RunScope run;
+        obs::RunScope::charge_taint_steps(100);  // the run itself has no row
+        std::vector<obs::RunScope::Unit> slice(3);
         {
-            // An inner scope captures charges until it closes; the outer
-            // scope then resumes as the charge target.
-            obs::ProfileScope inner("app|other @ m (0:0:0)",
-                                    obs::ProfileScope::Stage::kSlice);
-            obs::ProfileScope::charge_taint_steps(5);
+            obs::RunScope::Enter unit(slice[0], key, Stage::kSlice);
+            obs::RunScope::charge_taint_steps(10);
+            obs::RunScope::charge_contexts(2);
+            {
+                // An inner unit captures charges until it closes; the outer
+                // unit then resumes as the charge target.
+                obs::RunScope::Enter inner(slice[1], "app|other @ m (0:0:0)",
+                                           Stage::kSlice);
+                obs::RunScope::charge_taint_steps(5);
+            }
+            obs::RunScope::charge_taint_steps(1);
         }
-        obs::ProfileScope::charge_taint_steps(1);
-    }
-    {
-        // Same site, sig stage: merges into the same row.
-        obs::ProfileScope sig(key, obs::ProfileScope::Stage::kSig);
-        obs::ProfileScope::charge_interp_stmts(20);
-    }
-    // An empty key deactivates the scope entirely.
-    {
-        obs::ProfileScope empty("", obs::ProfileScope::Stage::kSig);
-        obs::ProfileScope::charge_interp_stmts(99);
+        {
+            // Past the budget cut below: its charges never reach a row.
+            obs::RunScope::Enter dropped(slice[2], "app|cut @ m (0:0:1)", Stage::kSlice);
+            obs::RunScope::charge_taint_steps(1000);
+        }
+        run.fold(slice, 2);
+        std::vector<obs::RunScope::Unit> sig(2);
+        {
+            // Same site, sig stage: merges into the same row.
+            obs::RunScope::Enter unit(sig[0], key, Stage::kSig);
+            obs::RunScope::charge_interp_stmts(20);
+        }
+        {
+            // An empty key gives the unit no profile row at all.
+            obs::RunScope::Enter unit(sig[1]);
+            obs::RunScope::charge_interp_stmts(99);
+        }
+        run.fold(sig, 2);
     }
     profiler.set_enabled(false);
 

@@ -638,20 +638,6 @@ int main(int argc, char** argv) {
         obs::gauge("mem.peak_bytes")
             .set(static_cast<std::int64_t>(support::memtrack::process_peak_bytes()));
     }
-    if (paths.size() > 1) {
-        // Per-run counter deltas are snapshots of the process-global registry;
-        // concurrent analyses overlap each other's windows, so per-app
-        // attribution is meaningless in batch mode and would make the output
-        // vary with --jobs. The aggregate registry (--metrics) stays exact.
-        for (auto& item : items) {
-            if (item.ok()) {
-                item.report->stats.counters.clear();
-                // The unmodeled-API table is built from the same overlapping
-                // counter windows, so it is cleared for the same reason.
-                item.report->audit.unmodeled_apis.clear();
-            }
-        }
-    }
 
     int exit_code = 0;
     text::Json batch = text::Json::array();
@@ -717,33 +703,6 @@ int main(int argc, char** argv) {
     }
     if (as_json && paths.size() > 1) {
         std::printf("%s\n", batch.dump_pretty().c_str());
-    }
-    if (audit && !as_json && !explain && paths.size() > 1) {
-        // Per-app unmodeled tables are suppressed in batch mode (counter
-        // windows overlap), but the process-global registry totals are exact
-        // and jobs-independent — print the aggregate once.
-        constexpr std::string_view kPrefix = "audit.unmodeled_api.";
-        std::vector<std::pair<std::string, std::uint64_t>> aggregate;
-        for (const auto& [name, value] :
-             obs::MetricsRegistry::global().snapshot().counters) {
-            if (name.size() > kPrefix.size() &&
-                name.compare(0, kPrefix.size(), kPrefix) == 0) {
-                aggregate.emplace_back(name.substr(kPrefix.size()), value);
-            }
-        }
-        std::sort(aggregate.begin(), aggregate.end(),
-                  [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                  });
-        std::printf("Top unmodeled APIs (all inputs):\n");
-        if (aggregate.empty()) std::printf("  (none)\n");
-        std::size_t width = 0;
-        for (const auto& [name, value] : aggregate) width = std::max(width, name.size());
-        for (const auto& [name, value] : aggregate) {
-            std::printf("  %-*s  %llu\n", static_cast<int>(width), name.c_str(),
-                        static_cast<unsigned long long>(value));
-        }
     }
     // Accuracy scoring runs sequentially in input order over the finished
     // batch (oracle interpreter runs and matching are pure functions of the
