@@ -1,9 +1,9 @@
 // Dense bit-packed sets (memory-layout layer, DESIGN.md §13).
 //
-// The taint engine's per-run bookkeeping — which methods a slice touched,
-// which event roots may exchange global taint, which worklist blocks are
-// queued — is dense over small integer universes (method/block/statement
-// indices of one app). std::set<std::uint32_t> spent a red-black node per
+// The taint engine's per-run bookkeeping — which statements of a method a
+// slice touched, which of its blocks are queued, which event roots may
+// exchange global taint — is dense over small integer universes (the
+// block/statement indices of one method, the event roots of one app). std::set<std::uint32_t> spent a red-black node per
 // element and a pointer chase per query; a DenseBitset spends one bit and
 // propagates whole sets with bulk word-OR, the representation the yosys
 // taint kernel strips propagation down to (SNIPPETS.md snippet 1:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -54,46 +55,69 @@ const std::string* const_string_arg(const Invoke& call, std::size_t index) {
 
 TaintEngine::TaintEngine(const Program& program, const CallGraph& callgraph,
                          const semantics::SemanticModel& model, EngineOptions options)
-    : program_(&program), callgraph_(&callgraph), model_(&model), options_(options) {
+    : program_(&program),
+      callgraph_(&callgraph),
+      model_(&model),
+      options_(options),
+      runs_(obs::counter("taint.runs")),
+      seeds_(obs::counter("taint.seeds")),
+      iterations_(obs::counter("taint.worklist_iterations")),
+      propagations_(obs::counter("taint.propagations")),
+      slice_statements_(obs::counter("taint.slice_statements")),
+      unmodeled_api_calls_(obs::counter("taint.unmodeled_api_calls")),
+      run_ms_(obs::histogram("taint.run_ms")) {
     build_indices();
 }
 
 void TaintEngine::build_indices() {
     const auto& methods = program_->method_table();
-    event_roots_of_.assign(methods.size(),
-                           DenseBitset(methods.size()));
-
-    for (std::uint32_t root : callgraph_->roots()) {
-        for (std::uint32_t m : callgraph_->reachable_from({root})) {
-            event_roots_of_[m].set(root);
+    const auto& roots = callgraph_->roots();
+    event_roots_of_.assign(methods.size(), DenseBitset(roots.size()));
+    for (std::uint32_t ri = 0; ri < roots.size(); ++ri) {
+        for (std::uint32_t m : callgraph_->reachable_from({roots[ri]})) {
+            event_roots_of_[m].set(ri);
         }
     }
 
-    // Dense (method, block) / statement numbering for the per-run bitsets.
-    block_base_.resize(methods.size());
-    for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
-        block_base_[mi] = total_blocks_;
-        total_blocks_ += static_cast<std::uint32_t>(methods[mi]->blocks.size());
+    // Flat (method, block) / statement numbering and CSR successor and
+    // predecessor lists, so a worklist step never rebuilds either. Branch
+    // targets are in range: every Program is verified when built or parsed.
+    std::uint32_t total_blocks = 0;
+    block_base_.reserve(methods.size() + 1);
+    for (const auto& method : methods) {
+        block_base_.push_back(total_blocks);
+        total_blocks += static_cast<std::uint32_t>(method->blocks.size());
     }
-    stmt_block_start_.resize(total_blocks_);
-    flat_block_method_.resize(total_blocks_);
-    flat_block_id_.resize(total_blocks_);
+    block_base_.push_back(total_blocks);
+    stmt_base_.reserve(total_blocks + 1);
+    succ_start_.reserve(total_blocks + 1);
+    pred_start_.assign(total_blocks + 1, 0);
+    std::uint32_t total_stmts = 0;
+    for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
+        for (const BasicBlock& block : methods[mi]->blocks) {
+            stmt_base_.push_back(total_stmts);
+            total_stmts += static_cast<std::uint32_t>(block.statements.size());
+            succ_start_.push_back(static_cast<std::uint32_t>(succs_.size()));
+            for (BlockId succ : block.successors()) {
+                succs_.push_back(succ);
+                ++pred_start_[block_base_[mi] + succ + 1];
+            }
+        }
+    }
+    stmt_base_.push_back(total_stmts);
+    succ_start_.push_back(static_cast<std::uint32_t>(succs_.size()));
+    // Counting sort: visiting source blocks in ascending order keeps each
+    // predecessor list ascending.
+    for (std::uint32_t fb = 0; fb < total_blocks; ++fb) pred_start_[fb + 1] += pred_start_[fb];
+    preds_.resize(pred_start_.back());
+    std::vector<std::uint32_t> fill(pred_start_.begin(), pred_start_.end() - 1);
     for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
         for (BlockId b = 0; b < methods[mi]->blocks.size(); ++b) {
             std::uint32_t fb = block_base_[mi] + b;
-            stmt_block_start_[fb] = total_stmts_;
-            flat_block_method_[fb] = mi;
-            flat_block_id_[fb] = b;
-            total_stmts_ +=
-                static_cast<std::uint32_t>(methods[mi]->blocks[b].statements.size());
+            for (std::uint32_t e = succ_start_[fb]; e < succ_start_[fb + 1]; ++e) {
+                preds_[fill[block_base_[mi] + succs_[e]]++] = b;
+            }
         }
-    }
-    stmt_owner_block_.resize(total_stmts_);
-    for (std::uint32_t fb = 0; fb < total_blocks_; ++fb) {
-        std::uint32_t begin = stmt_block_start_[fb];
-        std::uint32_t end = fb + 1 < total_blocks_ ? stmt_block_start_[fb + 1]
-                                                   : total_stmts_;
-        for (std::uint32_t si = begin; si < end; ++si) stmt_owner_block_[si] = fb;
     }
 
     std::string key;
@@ -147,20 +171,43 @@ void TaintEngine::build_indices() {
 
 // ---------------------------------------------------------------- run ----
 
+/// A method's part of one run, created the first time a seed, a call edge,
+/// a return, a caller injection or a global-channel reader reaches it.
+/// Everything here is sized by that method, never by the program.
+struct TaintEngine::MethodState {
+    /// Forward: facts at block entry. Backward: facts at block exit.
+    std::vector<ArenaPathSet> block_facts;
+    /// Facts describing the method's tainted return value (field
+    /// suffixes on the returned object). Forward direction.
+    std::vector<FieldSeq> return_suffixes;
+    /// Backward: tainted suffixes demanded of the return value.
+    std::vector<FieldSeq> demanded_return;
+    /// Backward: (param, suffix) facts demanded at callee exits.
+    std::vector<std::pair<std::uint32_t, FieldSeq>> demanded_params;
+    /// Forward: heap effects on params discovered at returns.
+    std::vector<std::pair<std::uint32_t, FieldSeq>> param_effects;
+    /// Seeds injected mid-block: (block, stmt index, path). Forward seeds
+    /// take effect after the statement; backward seeds before it.
+    std::vector<std::tuple<BlockId, std::uint32_t, AccessPath>> local_seeds;
+    /// Callers to requeue when this method's summary facts grow.
+    std::set<std::pair<std::uint32_t, BlockId>> summary_subscribers;
+    DenseBitset queued;  // worklist membership, over the method's blocks
+    DenseBitset slice;   // slice statements, over the method's statements
+    bool in_slice = false;         // the method belongs to TaintResult::methods
+    std::uint64_t iterations = 0;  // worklist steps, for --profile
+};
+
 struct TaintEngine::Run {
     /// Backs the block_facts sets; declared first so it outlives them.
     support::Arena arena;
     Direction dir = Direction::kForward;
-    std::vector<MethodState> states;
+    /// Touched methods only, ascending by method index; node-based, so
+    /// references stay valid while it grows.
+    std::map<std::uint32_t, MethodState> states;
     /// Tainted global locations with the event roots of their writers
-    /// (forward) / demanding readers (backward), as method-index bitsets.
+    /// (forward) / demanding readers (backward), as root-ordinal bitsets.
     std::unordered_map<AccessPath, DenseBitset, AccessPathHash> globals;
     std::deque<std::pair<std::uint32_t, BlockId>> worklist;
-    DenseBitset queued;       // over flat block ids
-    DenseBitset stmt_bits;    // over flat statement ids — the slice
-    DenseBitset method_bits;  // over method indices
-    /// Callers to requeue when a callee's summary facts grow.
-    std::vector<std::set<std::pair<std::uint32_t, BlockId>>> summary_subscribers;
     std::unordered_map<std::uint32_t, CallTaintEvent> events;  // keyed by flat stmt id
     TaintResult result;
     std::size_t steps = 0;
@@ -231,57 +278,53 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     obs::Span span(direction == Direction::kForward ? "taint.run.forward"
                                                     : "taint.run.backward",
                    "taint");
-    obs::counter("taint.runs").add(1);
-    obs::counter("taint.seeds").add(seeds.size());
-    obs::Counter& iterations = obs::counter("taint.worklist_iterations");
-    obs::Counter& propagations = obs::counter("taint.propagations");
+    runs_.add(1);
+    seeds_.add(seeds.size());
     Run run;
     run.dir = direction;
     const auto& methods = program_->method_table();
-    // --profile attribution: per-method worklist iterations, kept in a dense
-    // local array (one add per iteration) and flushed to the global profiler
-    // once per run. run.steps only counts when a step cap is set, so the
-    // profiler charges the true iteration total instead.
-    const bool profiling = obs::Profiler::global().enabled();
-    std::vector<std::uint64_t> method_iterations;
-    if (profiling) method_iterations.resize(methods.size(), 0);
-    run.states.resize(methods.size());
-    run.summary_subscribers.resize(methods.size());
     const ArenaPathSet arena_set{support::ArenaAllocator<AccessPath>(&run.arena)};
-    for (std::uint32_t mi = 0; mi < methods.size(); ++mi) {
-        run.states[mi].block_facts.assign(methods[mi]->blocks.size(), arena_set);
-    }
-    run.queued.resize(total_blocks_);
-    run.stmt_bits.resize(total_stmts_);
-    run.method_bits.resize(methods.size());
+
+    auto state_of = [&](std::uint32_t mi) -> MethodState& {
+        auto [it, fresh] = run.states.try_emplace(mi);
+        MethodState& state = it->second;
+        if (fresh) {
+            const std::uint32_t first = block_base_[mi];
+            const std::uint32_t end = block_base_[mi + 1];
+            state.block_facts.assign(end - first, arena_set);
+            state.queued.resize(end - first);
+            state.slice.resize(stmt_base_[end] - stmt_base_[first]);
+        }
+        return state;
+    };
 
     auto flat_stmt = [&](const StmtRef& ref) {
-        return stmt_block_start_[block_base_[ref.method_index] + ref.block] + ref.index;
+        return stmt_base_[block_base_[ref.method_index] + ref.block] + ref.index;
     };
 
     auto enqueue = [&](std::uint32_t mi, BlockId b) {
-        if (run.queued.set(block_base_[mi] + b)) {
+        if (state_of(mi).queued.set(b)) {
             run.worklist.emplace_back(mi, b);
-            propagations.add(1);
+            propagations_.add(1);
         }
     };
 
     auto note_stmt = [&](const StmtRef& ref) {
-        run.stmt_bits.set(flat_stmt(ref));
-        run.method_bits.set(ref.method_index);
+        MethodState& state = state_of(ref.method_index);
+        state.slice.set(flat_stmt(ref) - stmt_base_[block_base_[ref.method_index]]);
+        state.in_slice = true;
     };
 
     for (const auto& seed : seeds) {
+        MethodState& state = state_of(seed.stmt.method_index);
         if (seed.at_block_boundary) {
-            run.states[seed.stmt.method_index].block_facts[seed.stmt.block].insert(
-                seed.path);
+            state.block_facts[seed.stmt.block].insert(seed.path);
         } else {
-            run.states[seed.stmt.method_index].local_seeds.emplace_back(
-                seed.stmt.block, seed.stmt.index, seed.path);
-            run.stmt_bits.set(flat_stmt(seed.stmt));
+            state.local_seeds.emplace_back(seed.stmt.block, seed.stmt.index, seed.path);
+            note_stmt(seed.stmt);
         }
         enqueue(seed.stmt.method_index, seed.stmt.block);
-        run.method_bits.set(seed.stmt.method_index);
+        state.in_slice = true;
     }
 
     // ---- shared helpers bound to this run ----
@@ -292,7 +335,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     auto record_unmodeled_api = [&](const Invoke& s) {
         if (program_->find_class(s.callee.class_name)) return;
         if (model_->is_modeled(s.callee.class_name, s.callee.method_name)) return;
-        obs::counter("taint.unmodeled_api_calls").add(1);
+        unmodeled_api_calls_.add(1);
         obs::counter("audit.unmodeled_api." + s.callee.class_name + "." +
                      s.callee.method_name)
             .add(1);
@@ -326,7 +369,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         if (origin_hops + 1u > options_.max_global_hops) return;
         gpath.global_hops = static_cast<std::uint8_t>(origin_hops + 1);
         DenseBitset& roots = run.globals[gpath];
-        if (roots.size() == 0) roots.resize(methods.size());
+        if (roots.size() == 0) roots.resize(callgraph_->roots().size());
         bool roots_grew = roots.or_with(event_roots_of_[from_method]);
         bool fresh = run.result.globals.insert(gpath).second;
         if (fresh || roots_grew) {
@@ -477,7 +520,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         note_stmt(ref);
                     }
                 } else if constexpr (std::is_same_v<T, Return>) {
-                    MethodState& state = run.states[mi];
+                    MethodState& state = state_of(mi);
                     bool grew = false;
                     if (s.value && s.value->is_local()) {
                         for (const auto& p : rooted(facts, s.value->local)) {
@@ -504,7 +547,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         }
                     }
                     if (grew) {
-                        for (const auto& sub : run.summary_subscribers[mi]) {
+                        for (const auto& sub : state.summary_subscribers) {
                             enqueue(sub.first, sub.second);
                         }
                         // Context-insensitive return flow: every call site
@@ -534,7 +577,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                         // Bind actuals to formals; inject into callee entry.
                         for (const auto& edge : app_edges) {
                             const Method& callee = program_->method_at(edge.callee);
-                            MethodState& cstate = run.states[edge.callee];
+                            MethodState& cstate = state_of(edge.callee);
                             ArenaPathSet& centry = cstate.block_facts[0];
                             bool grew = false;
                             std::uint32_t formal0 = callee.is_static ? 0 : 1;
@@ -555,7 +598,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                                 }
                             }
                             if (grew) enqueue(edge.callee, 0);
-                            run.summary_subscribers[edge.callee].insert({mi, b});
+                            cstate.summary_subscribers.insert({mi, b});
 
                             // Apply the callee's current summary.
                             if (s.dst) {
@@ -895,7 +938,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                                                    [](bool v) { return v; });
                         for (const auto& edge : app_edges) {
                             const Method& callee = program_->method_at(edge.callee);
-                            MethodState& cstate = run.states[edge.callee];
+                            MethodState& cstate = state_of(edge.callee);
                             bool grew = false;
                             if (dst_t) {
                                 for (const auto& p : rooted(facts, *s.dst)) {
@@ -1155,7 +1198,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
 
     // ------------------------------ main worklist loop ------------------
     while (!run.worklist.empty()) {
-        iterations.add(1);
+        iterations_.add(1);
         if (options_.max_steps && ++run.steps > options_.max_steps) {
             log::warn().kv("max_steps", options_.max_steps)
                 << "taint engine hit step limit; result is truncated";
@@ -1164,12 +1207,13 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         }
         auto [mi, b] = run.worklist.front();
         run.worklist.pop_front();
-        run.queued.clear(block_base_[mi] + b);
-        if (profiling) ++method_iterations[mi];
+        MethodState& state = run.states.at(mi);
+        state.queued.clear(b);
+        ++state.iterations;
 
         const Method& method = *methods[mi];
-        MethodState& state = run.states[mi];
         const auto& stmts = method.blocks[b].statements;
+        const std::uint32_t fb = block_base_[mi] + b;
 
         // The per-iteration scratch copy stays heap-backed on purpose:
         // kill_local erases from it, and a no-free arena would turn that
@@ -1183,7 +1227,8 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                     if (sb == b && si == i) add_path(facts, path);
                 }
             }
-            for (BlockId succ : method.blocks[b].successors()) {
+            for (std::uint32_t e = succ_start_[fb]; e < succ_start_[fb + 1]; ++e) {
+                const BlockId succ = succs_[e];
                 ArenaPathSet& target = state.block_facts[succ];
                 bool grew = false;
                 for (const auto& p : facts) grew |= add_path(target, p);
@@ -1237,7 +1282,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                             }
                         }
                         if (!actual) continue;
-                        MethodState& caller_state = run.states[edge.caller];
+                        MethodState& caller_state = state_of(edge.caller);
                         AccessPath cp =
                             local_with_fields(*actual, p.fields, p.global_hops);
                         auto seed = std::make_tuple(edge.site.block, edge.site.index, cp);
@@ -1252,15 +1297,8 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                     }
                 }
             }
-            for (BlockId pred : [&] {
-                     std::vector<BlockId> preds;
-                     for (BlockId pb = 0; pb < method.blocks.size(); ++pb) {
-                         for (BlockId succ : method.blocks[pb].successors()) {
-                             if (succ == b) preds.push_back(pb);
-                         }
-                     }
-                     return preds;
-                 }()) {
+            for (std::uint32_t e = pred_start_[fb]; e < pred_start_[fb + 1]; ++e) {
+                const BlockId pred = preds_[e];
                 ArenaPathSet& target = state.block_facts[pred];
                 bool grew = false;
                 for (const auto& p : facts) grew |= add_path(target, p);
@@ -1269,19 +1307,32 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         }
     }
 
-    // Materialize the bit-packed slice into the ordered result sets; flat
-    // ids ascend in (method, block, index) order, so hinted inserts are O(1).
-    run.method_bits.for_each([&](std::size_t mi) {
-        run.result.methods.insert(run.result.methods.end(),
-                                  static_cast<std::uint32_t>(mi));
-    });
-    run.stmt_bits.for_each([&](std::size_t si) {
-        std::uint32_t fb = stmt_owner_block_[si];
-        run.result.statements.insert(
-            run.result.statements.end(),
-            StmtRef{flat_block_method_[fb], flat_block_id_[fb],
-                    static_cast<std::uint32_t>(si - stmt_block_start_[fb])});
-    });
+    // Materialize the per-method slices into the ordered result sets: states
+    // ascend by method and each slice bitset by (block, index), so hinted
+    // inserts are O(1).
+    const bool profiling = obs::Profiler::global().enabled();
+    std::uint64_t total_iterations = 0;
+    for (const auto& [mi, state] : run.states) {
+        if (state.in_slice) run.result.methods.insert(run.result.methods.end(), mi);
+        const std::uint32_t first = block_base_[mi];
+        BlockId b = 0;
+        state.slice.for_each([&](std::size_t local) {
+            const std::size_t si = stmt_base_[first] + local;
+            while (stmt_base_[first + b + 1] <= si) ++b;
+            run.result.statements.insert(
+                run.result.statements.end(),
+                StmtRef{mi, b, static_cast<std::uint32_t>(si - stmt_base_[first + b])});
+        });
+        // --profile attribution: run.steps only counts when a step cap is
+        // set, so the profiler charges the true iteration totals instead.
+        if (profiling && state.iterations != 0) {
+            total_iterations += state.iterations;
+            obs::Profiler::global().charge_method(
+                obs::profile_method_key(program_->app_name, methods[mi]->ref().qualified()),
+                state.iterations, 0);
+        }
+    }
+    if (profiling) obs::RunScope::charge_taint_steps(total_iterations);
 
     for (auto& [key, ev] : run.events) run.result.call_events.push_back(std::move(ev));
     std::sort(run.result.call_events.begin(), run.result.call_events.end(),
@@ -1289,22 +1340,9 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
                   return a.stmt < b.stmt;
               });
     run.result.steps_used = run.steps;
-    if (profiling) {
-        std::uint64_t total_iterations = 0;
-        obs::Profiler& profiler = obs::Profiler::global();
-        for (std::uint32_t mi = 0; mi < method_iterations.size(); ++mi) {
-            if (method_iterations[mi] == 0) continue;
-            total_iterations += method_iterations[mi];
-            profiler.charge_method(
-                obs::profile_method_key(program_->app_name,
-                                        methods[mi]->ref().qualified()),
-                method_iterations[mi], 0);
-        }
-        obs::RunScope::charge_taint_steps(total_iterations);
-    }
-    obs::counter("taint.slice_statements").add(run.result.statements.size());
+    slice_statements_.add(run.result.statements.size());
     span.finish();
-    obs::histogram("taint.run_ms").observe(span.seconds() * 1000.0);
+    run_ms_.observe(span.seconds() * 1000.0);
     return std::move(run.result);
 }
 

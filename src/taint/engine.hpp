@@ -19,9 +19,13 @@
 // in §5.1).
 //
 // Memory layout (DESIGN.md §13): taint facts are POD AccessPaths over
-// interned symbols; per-run fact sets live in a bump arena; dense per-run
-// bookkeeping (queued blocks, slice statements/methods, event-root
-// reachability) is bit-packed and propagated with bulk word-ORs.
+// interned symbols; per-run fact sets live in a bump arena. A run costs
+// what it touches: no per-run allocation is proportional to program size.
+// Whole-program indices (flat block/statement numbering, CSR successor and
+// predecessor lists, event-root reachability, global-channel accessors)
+// are built once per engine; a run creates a method's state — fact sets,
+// summaries, queued-block and slice-statement bitsets — the first time a
+// seed, call edge, return, caller injection or global reader reaches it.
 #pragma once
 
 #include <functional>
@@ -36,6 +40,11 @@
 #include "taint/access_path.hpp"
 #include "xir/callgraph.hpp"
 #include "xir/ir.hpp"
+
+namespace extractocol::obs {
+class Counter;
+class Histogram;
+}  // namespace extractocol::obs
 
 namespace extractocol::taint {
 
@@ -110,29 +119,23 @@ public:
     [[nodiscard]] TaintResult run(Direction direction, const std::vector<TaintSeed>& seeds);
 
 private:
-    struct MethodState {
-        /// Forward: facts at block entry. Backward: facts at block exit.
-        std::vector<ArenaPathSet> block_facts;
-        /// Facts describing the method's tainted return value (field
-        /// suffixes on the returned object). Forward direction.
-        std::vector<FieldSeq> return_suffixes;
-        /// Backward: tainted suffixes demanded of the return value.
-        std::vector<FieldSeq> demanded_return;
-        /// Backward: (param, suffix) facts demanded at callee exits.
-        std::vector<std::pair<std::uint32_t, FieldSeq>> demanded_params;
-        /// Forward: heap effects on params discovered at returns.
-        std::vector<std::pair<std::uint32_t, FieldSeq>> param_effects;
-        /// Seeds injected mid-block: (block, stmt index, path). Forward seeds
-        /// take effect after the statement; backward seeds before it.
-        std::vector<std::tuple<xir::BlockId, std::uint32_t, AccessPath>> local_seeds;
-    };
-
-    struct Run;  // per-run mutable state, defined in the .cpp
+    struct MethodState;  // per-run, per-touched-method state, defined in the .cpp
+    struct Run;          // per-run mutable state, defined in the .cpp
 
     const xir::Program* program_;
     const xir::CallGraph* callgraph_;
     const semantics::SemanticModel* model_;
     EngineOptions options_;
+
+    /// Registry handles, resolved once: each lookup scans the registry under
+    /// its mutex, and runs happen on every pool thread.
+    obs::Counter& runs_;
+    obs::Counter& seeds_;
+    obs::Counter& iterations_;
+    obs::Counter& propagations_;
+    obs::Counter& slice_statements_;
+    obs::Counter& unmodeled_api_calls_;
+    obs::Histogram& run_ms_;
 
     /// Static/db/prefs access indices: interned location key prefix ->
     /// blocks that read (forward) or write (backward) it.
@@ -142,21 +145,26 @@ private:
     std::unordered_map<support::intern::Symbol,
                        std::vector<std::pair<std::uint32_t, xir::BlockId>>>
         global_writers_;
-    /// Event-root reachability: method -> bitset over method indices of the
-    /// event roots reaching it (gates cross-event global propagation).
+    /// Event-root reachability: method -> bitset over the ordinals of the
+    /// event roots (CallGraph::roots()) reaching it (gates cross-event
+    /// global propagation).
     std::vector<support::DenseBitset> event_roots_of_;
 
-    /// Dense numbering of (method, block) and statements, precomputed once:
-    /// flat block id = block_base_[mi] + b; flat statement id =
-    /// stmt_block_start_[flat block] + stmt index. The per-run worklist
-    /// membership and slice sets are bitsets over these universes.
-    std::vector<std::uint32_t> block_base_;       // per method
-    std::vector<std::uint32_t> stmt_block_start_; // per flat block
-    std::vector<std::uint32_t> flat_block_method_;
-    std::vector<xir::BlockId> flat_block_id_;
-    std::vector<std::uint32_t> stmt_owner_block_; // per flat statement
-    std::uint32_t total_blocks_ = 0;
-    std::uint32_t total_stmts_ = 0;
+    /// Flat numbering of (method, block) and statements, precomputed once,
+    /// each with a trailing sentinel: flat block id = block_base_[mi] + b;
+    /// flat statement id = stmt_base_[flat block] + stmt index. A method's
+    /// blocks are [block_base_[mi], block_base_[mi + 1]) and its statements
+    /// [stmt_base_[block_base_[mi]], stmt_base_[block_base_[mi + 1]]).
+    std::vector<std::uint32_t> block_base_;  // per method, + sentinel
+    std::vector<std::uint32_t> stmt_base_;   // per flat block, + sentinel
+    /// CFG edges per flat block, in CSR form: the successors of flat block
+    /// fb are succs_[succ_start_[fb] .. succ_start_[fb + 1]), predecessors
+    /// likewise (ascending, one entry per edge, as BasicBlock::successors
+    /// lists them).
+    std::vector<std::uint32_t> succ_start_;
+    std::vector<xir::BlockId> succs_;
+    std::vector<std::uint32_t> pred_start_;
+    std::vector<xir::BlockId> preds_;
 
     void build_indices();
 };

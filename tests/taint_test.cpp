@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "obs/metrics.hpp"
 #include "semantics/model.hpp"
 #include "taint/engine.hpp"
 #include "xir/builder.hpp"
@@ -281,4 +285,214 @@ TEST(TaintForward, CallEventsReportTaintedArgs) {
         }
     }
     EXPECT_TRUE(seen);
+}
+
+namespace {
+
+/// A small protocol app followed by `filler` methods in a class of their
+/// own that nothing in the app calls or reads: per-run cost and results
+/// must not depend on them.
+Program make_padded_app(std::size_t filler) {
+    ProgramBuilder pb("padded");
+    auto cls = pb.add_class("com.t.P");
+    {
+        auto mb = cls.method("buildUrl");
+        mb.returns("java.lang.String");
+        LocalId host = mb.param("host", "java.lang.String");
+        LocalId sb = mb.local("sb", "java.lang.StringBuilder");
+        mb.new_object(sb, "java.lang.StringBuilder");
+        mb.special(sb, "java.lang.StringBuilder.<init>", {cs("http://")});
+        mb.vcall(sb, sb, "java.lang.StringBuilder.append", {Operand(host)});
+        mb.if_then_else(
+            eq(Operand(host), cs("m.t.com")),
+            [&](MethodBuilder& m) {
+                m.vcall(sb, sb, "java.lang.StringBuilder.append", {cs("/mobile")});
+            },
+            [&](MethodBuilder& m) {
+                m.vcall(sb, sb, "java.lang.StringBuilder.append", {cs("/web")});
+            });
+        LocalId url = mb.local("url", "java.lang.String");
+        mb.vcall(url, sb, "java.lang.StringBuilder.toString");
+        mb.ret(Operand(url));
+    }
+    {
+        auto mb = cls.method("consume");
+        LocalId body = mb.param("body", "java.lang.String");
+        LocalId json = mb.local("json", "org.json.JSONObject");
+        mb.new_object(json, "org.json.JSONObject");
+        mb.special(json, "org.json.JSONObject.<init>", {Operand(body)});
+        LocalId token = mb.local("token", "java.lang.String");
+        mb.vcall(token, json, "org.json.JSONObject.getString", {cs("token")});
+        mb.store_static("com.t.P", "sToken", Operand(token));
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("onClick");
+        LocalId host = mb.local("host", "java.lang.String");
+        mb.assign(host, cs("api.t.com"));
+        LocalId url = mb.local("url", "java.lang.String");
+        mb.vcall(url, mb.self(), "com.t.P.buildUrl", {Operand(host)});
+        LocalId req = mb.local("req", "org.apache.http.client.methods.HttpGet");
+        mb.new_object(req, "org.apache.http.client.methods.HttpGet");
+        mb.special(req, "org.apache.http.client.methods.HttpGet.<init>", {Operand(url)});
+        LocalId client = mb.local("c", "org.apache.http.client.HttpClient");
+        LocalId resp = mb.local("r", "org.apache.http.HttpResponse");
+        mb.vcall(resp, client, "org.apache.http.client.HttpClient.execute", {Operand(req)});
+        LocalId entity = mb.local("e", "org.apache.http.HttpEntity");
+        mb.vcall(entity, resp, "org.apache.http.HttpResponse.getEntity");
+        LocalId body = mb.local("body", "java.lang.String");
+        mb.scall(body, "org.apache.http.util.EntityUtils.toString", {Operand(entity)});
+        mb.vcall(std::nullopt, mb.self(), "com.t.P.consume", {Operand(body)});
+        mb.ret();
+    }
+    pb.register_event({"com.t.P", "onClick"}, EventKind::kOnClick, "click");
+
+    auto pad = pb.add_class("com.t.Filler");
+    for (std::size_t i = 0; i < filler; ++i) {
+        auto mb = pad.method("f" + std::to_string(i));
+        LocalId x = mb.local("x", "java.lang.String");
+        mb.load_static(x, "com.t.Filler", "s" + std::to_string(i));
+        LocalId n = mb.local("n", "int");
+        mb.assign(n, ci(0));
+        mb.while_loop(lt(Operand(n), ci(3)), [&](MethodBuilder& m) {
+            m.concat(x, Operand(x), cs("!"));
+            m.binop(n, BinaryOp::Op::kAdd, Operand(n), ci(1));
+        });
+        if (i + 1 < filler) {
+            mb.vcall(std::nullopt, mb.self(), "com.t.Filler.f" + std::to_string(i + 1));
+        }
+        mb.store_static("com.t.Filler", "s" + std::to_string(i + 1), Operand(x));
+        mb.ret();
+    }
+    return pb.build();
+}
+
+std::map<std::string, std::uint64_t> taint_counters() {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : obs::MetricsRegistry::global().snapshot().counters) {
+        if (name.starts_with("taint.")) out[name] = value;
+    }
+    return out;
+}
+
+/// Runs `seeds` and returns the result with the taint.* counter delta.
+std::pair<TaintResult, std::map<std::string, std::uint64_t>> run_counted(
+    Fixture& fx, Direction dir, const std::vector<TaintSeed>& seeds) {
+    auto before = taint_counters();
+    TaintResult result = fx.engine->run(dir, seeds);
+    auto delta = taint_counters();
+    for (auto& [name, value] : delta) value -= before[name];
+    return {std::move(result), std::move(delta)};
+}
+
+void expect_same_result(const TaintResult& a, const TaintResult& b) {
+    EXPECT_EQ(a.statements, b.statements);
+    EXPECT_EQ(a.methods, b.methods);
+    EXPECT_EQ(a.globals, b.globals);
+    EXPECT_EQ(a.steps_used, b.steps_used);
+    EXPECT_EQ(a.truncated, b.truncated);
+    ASSERT_EQ(a.call_events.size(), b.call_events.size());
+    for (std::size_t i = 0; i < a.call_events.size(); ++i) {
+        EXPECT_EQ(a.call_events[i].stmt, b.call_events[i].stmt);
+        EXPECT_EQ(a.call_events[i].base_tainted, b.call_events[i].base_tainted);
+        EXPECT_EQ(a.call_events[i].dst_tainted, b.call_events[i].dst_tainted);
+        EXPECT_EQ(a.call_events[i].args_tainted, b.call_events[i].args_tainted);
+    }
+}
+
+StmtRef return_of(const Fixture& fx, const char* cls, const char* method) {
+    auto mi = fx.program.method_index({cls, method});
+    const Method& m = fx.program.method_at(*mi);
+    for (BlockId b = 0; b < m.blocks.size(); ++b) {
+        const auto& stmts = m.blocks[b].statements;
+        for (std::uint32_t i = 0; i < stmts.size(); ++i) {
+            if (std::holds_alternative<Return>(stmts[i])) return {*mi, b, i};
+        }
+    }
+    ADD_FAILURE() << "no return in " << cls << "." << method;
+    return {};
+}
+
+/// The seed sets the comparison runs: forward from the response, backward
+/// from the request, a boundary seed at the entry of a method no other seed
+/// or call has touched yet, and a backward seed inside a callee whose flow
+/// must inject into its never-touched caller.
+std::vector<std::pair<Direction, std::vector<TaintSeed>>> padded_app_queries(
+    const Fixture& fx) {
+    StmtRef dp = fx.find_call("com.t.P.onClick", "execute");
+    const auto& call = std::get<Invoke>(fx.program.statement(dp));
+    auto consume = *fx.program.method_index({"com.t.P", "consume"});
+    StmtRef ret = return_of(fx, "com.t.P", "buildUrl");
+    const auto& ret_stmt = std::get<Return>(fx.program.statement(ret));
+    return {
+        {Direction::kForward, {{dp, AccessPath::of_local(*call.dst)}}},
+        {Direction::kBackward, {{dp, AccessPath::of_local(call.args[0].local)}}},
+        {Direction::kForward,
+         {{StmtRef{consume, 0, 0}, AccessPath::of_local(1), /*at_block_boundary=*/true}}},
+        {Direction::kBackward, {{ret, AccessPath::of_local(ret_stmt.value->local)}}},
+    };
+}
+
+}  // namespace
+
+TEST(TaintScaling, UnreachableFillerChangesNothing) {
+    Fixture bare(make_padded_app(0));
+    Fixture padded(make_padded_app(200));
+    ASSERT_EQ(padded.program.method_table().size(),
+              bare.program.method_table().size() + 200);
+    auto bare_queries = padded_app_queries(bare);
+    auto padded_queries = padded_app_queries(padded);
+    ASSERT_EQ(bare_queries.size(), padded_queries.size());
+    for (std::size_t q = 0; q < bare_queries.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        auto [want, want_counters] =
+            run_counted(bare, bare_queries[q].first, bare_queries[q].second);
+        auto [got, got_counters] =
+            run_counted(padded, padded_queries[q].first, padded_queries[q].second);
+        EXPECT_FALSE(want.statements.empty());
+        expect_same_result(want, got);
+        EXPECT_EQ(want_counters, got_counters);
+        EXPECT_GT(want_counters["taint.worklist_iterations"], 0u);
+    }
+}
+
+TEST(TaintScaling, SeedsReachUntouchedMethods) {
+    Fixture fx(make_padded_app(8));
+    auto queries = padded_app_queries(fx);
+    auto consume = *fx.program.method_index({"com.t.P", "consume"});
+    auto on_click = *fx.program.method_index({"com.t.P", "onClick"});
+    auto build_url = *fx.program.method_index({"com.t.P", "buildUrl"});
+    auto token_stored = [](const TaintResult& r) {
+        for (const auto& g : r.globals) {
+            if (g.is_static() && in_str(g.key) == "sToken") return true;
+        }
+        return false;
+    };
+
+    // Forward from the response: the call edge creates consume's state.
+    auto response = fx.engine->run(queries[0].first, queries[0].second);
+    EXPECT_TRUE(response.methods.count(consume));
+    EXPECT_TRUE(response.contains(fx.find_call("com.t.P.consume", "getString")));
+    EXPECT_TRUE(token_stored(response));
+
+    // A boundary seed is the first touch of consume in its run.
+    auto entry = fx.engine->run(queries[2].first, queries[2].second);
+    EXPECT_EQ(entry.methods, std::set<std::uint32_t>{consume});
+    EXPECT_TRUE(entry.contains(fx.find_call("com.t.P.consume", "getString")));
+    EXPECT_TRUE(token_stored(entry));
+
+    // Backward from buildUrl's return: both branches and the caller's
+    // argument, injected into onClick at the call site.
+    auto url = fx.engine->run(queries[3].first, queries[3].second);
+    EXPECT_EQ(url.methods, (std::set<std::uint32_t>{build_url, on_click}));
+    EXPECT_TRUE(url.contains(fx.find_call("com.t.P.onClick", "buildUrl")));
+    std::size_t appends = 0;
+    for (const StmtRef& ref : url.statements) {
+        const auto* call = std::get_if<Invoke>(&fx.program.statement(ref));
+        if (call && call->callee.method_name == "append") ++appends;
+    }
+    EXPECT_EQ(appends, 3u);
+    for (std::uint32_t mi : url.methods) {
+        EXPECT_LT(mi, fx.program.method_index({"com.t.Filler", "f0"}).value());
+    }
 }
