@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -53,26 +54,31 @@ const std::string* const_string_arg(const Invoke& call, std::size_t index) {
 class Interp {
 public:
     Interp(const Program& program, const CallGraph& callgraph,
-           const semantics::SemanticModel& model, const BuildRequest& request)
-        : program_(&program), callgraph_(&callgraph), model_(&model), request_(&request) {
+           const semantics::SemanticModel& model, const std::vector<std::uint32_t>& handlers,
+           const BuildRequest& request)
+        : program_(&program),
+          callgraph_(&callgraph),
+          model_(&model),
+          handlers_(&handlers),
+          request_(&request),
+          profiling_(obs::Profiler::global().enabled()) {
         response_root_ = std::make_shared<DemandNode>();
-        if (obs::Profiler::global().enabled()) {
-            method_stmts_.resize(program.method_table().size(), 0);
-        }
     }
 
     std::optional<TransactionSignature> run() {
         // Producer pre-pass: other event handlers whose slice statements may
         // populate statics/prefs read by this transaction (async heuristic).
+        // A handler qualifies when the call graph leads from it to a method
+        // holding a slice statement.
         std::uint32_t root =
             request_->context.empty()
                 ? request_->dp_site.method_index
                 : request_->context.front().caller;
-        for (const auto& event : program_->events) {
-            auto mi = program_->method_index(event.handler);
-            if (!mi || *mi == root) continue;
-            if (!touches_slice(*mi)) continue;
-            interpret(*mi, {}, 0, /*live=*/false, 0);
+        std::unordered_set<std::uint32_t> producers;
+        if (request_->slice) producers = slice_callers();
+        for (std::uint32_t mi : *handlers_) {
+            if (mi == root || (request_->slice && producers.count(mi) == 0)) continue;
+            interpret(mi, {}, 0, /*live=*/false, 0);
         }
 
         std::vector<SigValue> root_args;
@@ -124,14 +130,25 @@ private:
         return !request_->slice || request_->slice->count(ref) > 0;
     }
 
-    bool touches_slice(std::uint32_t root) const {
-        if (!request_->slice) return true;
-        for (std::uint32_t mi : callgraph_->reachable_from({root})) {
-            for (const auto& ref : *request_->slice) {
-                if (ref.method_index == mi) return true;
+    /// The methods holding a slice statement and every transitive caller of
+    /// them: one reverse BFS, sized by the slice's callers.
+    std::unordered_set<std::uint32_t> slice_callers() const {
+        const std::set<StmtRef>& slice = *request_->slice;
+        std::unordered_set<std::uint32_t> seen;
+        std::vector<std::uint32_t> stack;
+        for (auto it = slice.begin(); it != slice.end();
+             it = slice.lower_bound(StmtRef{it->method_index + 1, 0, 0})) {
+            seen.insert(it->method_index);
+            stack.push_back(it->method_index);
+        }
+        while (!stack.empty()) {
+            std::uint32_t mi = stack.back();
+            stack.pop_back();
+            for (const CallEdge& edge : callgraph_->edges_to(mi)) {
+                if (seen.insert(edge.caller).second) stack.push_back(edge.caller);
             }
         }
-        return false;
+        return seen;
     }
 
     SigValue value_of(const Env& env, const Method& method, const Operand& op) const {
@@ -289,7 +306,7 @@ private:
         // every run regardless of --jobs.
         if (step_capped_) return;
         ++steps_;
-        if (!method_stmts_.empty()) ++method_stmts_[ref.method_index];
+        if (profiling_) ++method_stmts_[ref.method_index];
         if (request_->max_steps && steps_ > request_->max_steps) {
             step_capped_ = true;
             obs::counter("sig.unknown_reason.budget_exhausted").add(1);
@@ -1401,6 +1418,7 @@ private:
     const Program* program_;
     const CallGraph* callgraph_;
     const semantics::SemanticModel* model_;
+    const std::vector<std::uint32_t>* handlers_;
     const BuildRequest* request_;
 
     std::map<std::string, SigValue> statics_;
@@ -1411,9 +1429,10 @@ private:
     bool captured_ = false;
     std::size_t steps_ = 0;
     bool step_capped_ = false;
-    /// --profile: statements executed per method (dense, non-empty only when
-    /// the profiler is enabled at construction).
-    std::vector<std::uint64_t> method_stmts_;
+    /// --profile (enabled at construction): statements executed per touched
+    /// method, flushed in ascending method order.
+    bool profiling_;
+    std::map<std::uint32_t, std::uint64_t> method_stmts_;
     TransactionSignature out_;
     DemandNodePtr response_root_;
     std::vector<std::pair<MethodRef, int>> pending_callbacks_;
@@ -1425,15 +1444,14 @@ public:
     /// Flushes per-method statement counts to the global profiler and the
     /// interpreted-statement total to the innermost obs::RunScope unit.
     void flush_profile() const {
-        if (method_stmts_.empty()) return;
+        if (!profiling_) return;
         obs::Profiler& profiler = obs::Profiler::global();
         const auto& methods = program_->method_table();
-        for (std::uint32_t mi = 0; mi < method_stmts_.size(); ++mi) {
-            if (method_stmts_[mi] == 0) continue;
+        for (const auto& [mi, stmts] : method_stmts_) {
             profiler.charge_method(
                 obs::profile_method_key(program_->app_name,
                                         methods[mi]->ref().qualified()),
-                0, method_stmts_[mi]);
+                0, stmts);
         }
         obs::RunScope::charge_interp_stmts(steps_);
     }
@@ -1443,12 +1461,16 @@ public:
 
 SignatureBuilder::SignatureBuilder(const Program& program, const CallGraph& callgraph,
                                    const semantics::SemanticModel& model)
-    : program_(&program), callgraph_(&callgraph), model_(&model) {}
+    : program_(&program), callgraph_(&callgraph), model_(&model) {
+    for (const auto& event : program.events) {
+        if (auto mi = program.method_index(event.handler)) handlers_.push_back(*mi);
+    }
+}
 
 std::optional<TransactionSignature> SignatureBuilder::build(const BuildRequest& request,
                                                             BuildStats* stats) {
     obs::Span span("sig.build", "sig");
-    Interp interp(*program_, *callgraph_, *model_, request);
+    Interp interp(*program_, *callgraph_, *model_, handlers_, request);
     auto signature = interp.run();
     interp.flush_profile();
     if (stats) {

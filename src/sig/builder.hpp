@@ -9,6 +9,12 @@
 // captures the request object's state there (method, URI, headers, body),
 // plants a demand-tree root for the response, and keeps interpreting to
 // discover the response signature (including async listener delivery).
+// Before the walk, a producer pre-pass interprets every other event handler
+// from which the call graph reaches a method holding a slice statement
+// (§3.1's async heuristic). A build's cost follows its slice: the handlers
+// are resolved once per builder, the producers are found by one reverse
+// BFS over the slice methods' callers, and no per-build state is sized by
+// the program.
 #pragma once
 
 #include <optional>
@@ -82,6 +88,9 @@ private:
     const xir::Program* program_;
     const xir::CallGraph* callgraph_;
     const semantics::SemanticModel* model_;
+    /// Event-handler method indices in event order, resolved once: the
+    /// candidates of every build's producer pre-pass.
+    std::vector<std::uint32_t> handlers_;
 };
 
 }  // namespace extractocol::sig

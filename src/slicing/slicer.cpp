@@ -206,8 +206,8 @@ std::set<StmtRef> Slicer::augment(const std::set<StmtRef>& response_slice,
     std::set<std::pair<std::uint32_t, LocalId>> seen;
     for (const StmtRef& ref : response_slice) {
         const Statement& stmt = program_->statement(ref);
-        for (LocalId use : uses_of(stmt)) {
-            if (!seen.insert({ref.method_index, use}).second) continue;
+        for_each_use(stmt, [&](LocalId use) {
+            if (!seen.insert({ref.method_index, use}).second) return;
             bool defined_in_slice = false;
             for (const StmtRef& other : response_slice) {
                 if (other.method_index != ref.method_index) continue;
@@ -222,7 +222,7 @@ std::set<StmtRef> Slicer::augment(const std::set<StmtRef>& response_slice,
             if (!defined_in_slice) {
                 seeds.push_back({ref, AccessPath::of_local(use)});
             }
-        }
+        });
     }
     if (seeds.empty()) return {};
     obs::counter("slicer.augment_seeds").add(seeds.size());

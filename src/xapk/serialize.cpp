@@ -1,6 +1,7 @@
 #include "xapk/serialize.hpp"
 
 #include <charconv>
+#include <iterator>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -180,63 +181,87 @@ std::string write_xapk(const Program& program) {
 
 namespace {
 
-/// Splits a line into tokens, treating double-quoted runs (with escapes) as
-/// single tokens whose quotes are preserved for type detection.
-Result<std::vector<std::string>> tokenize(std::string_view line) {
-    std::vector<std::string> tokens;
+/// Splits a line into views of its tokens, treating double-quoted runs (with
+/// backslash escapes) as single tokens. A quoted token keeps its quotes and
+/// its escapes undecoded; unquote() decodes it when it becomes a string.
+/// Returns false on an unterminated string literal.
+bool tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+    tokens.clear();
     std::size_t i = 0;
     while (i < line.size()) {
         if (line[i] == ' ' || line[i] == '\t') {
             ++i;
             continue;
         }
+        std::size_t start = i;
         if (line[i] == '"') {
-            std::string token = "\"";
             ++i;
             while (i < line.size() && line[i] != '"') {
-                if (line[i] == '\\' && i + 1 < line.size()) {
-                    char e = line[i + 1];
-                    switch (e) {
-                        case 'n': token.push_back('\n'); break;
-                        case 't': token.push_back('\t'); break;
-                        case 'r': token.push_back('\r'); break;
-                        default: token.push_back(e);
-                    }
-                    i += 2;
-                } else {
-                    token.push_back(line[i]);
-                    ++i;
-                }
+                i += (line[i] == '\\' && i + 1 < line.size()) ? 2 : 1;
             }
-            if (i >= line.size()) return Error("unterminated string literal");
+            if (i >= line.size()) return false;
             ++i;  // closing quote
-            token.push_back('"');
-            tokens.push_back(std::move(token));
         } else {
-            std::size_t start = i;
             while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-            tokens.emplace_back(line.substr(start, i - start));
         }
+        tokens.push_back(line.substr(start, i - start));
     }
-    return tokens;
+    return true;
 }
 
-bool is_quoted(const std::string& token) {
+bool is_quoted(std::string_view token) {
     return token.size() >= 2 && token.front() == '"' && token.back() == '"';
 }
 
-std::string unquote(const std::string& token) {
-    return token.substr(1, token.size() - 2);
+/// The decoded contents of a quoted token. Copied as is when it has no
+/// escape; the tokenizer guarantees every backslash has a successor.
+std::string unquote(std::string_view token) {
+    std::string_view body = token.substr(1, token.size() - 2);
+    if (body.find('\\') == std::string_view::npos) return std::string(body);
+    std::string out;
+    out.reserve(body.size());
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        if (body[i] != '\\' || i + 1 == body.size()) {
+            out.push_back(body[i]);
+            continue;
+        }
+        switch (body[++i]) {
+            case 'n': out.push_back('\n'); break;
+            case 't': out.push_back('\t'); break;
+            case 'r': out.push_back('\r'); break;
+            default: out.push_back(body[i]);
+        }
+    }
+    return out;
 }
 
-Result<Operand> parse_operand(const std::string& token) {
+bool has_escapes(std::string_view token) {
+    return is_quoted(token) && token.find('\\') != std::string_view::npos;
+}
+
+/// A token as an identifier or in an error message: verbatim, except that a
+/// quoted token with escapes is shown decoded between its quotes.
+std::string token_text(std::string_view token) {
+    if (!has_escapes(token)) return std::string(token);
+    return '"' + unquote(token) + '"';
+}
+
+Error bad(const char* what, std::string_view token) {
+    return Error(std::string(what) + token_text(token));
+}
+
+/// Whole-token number parse; false on garbage and on overflow.
+template <typename T>
+bool parse_number(std::string_view digits, T& value) {
+    auto [ptr, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    return ec == std::errc() && ptr == digits.data() + digits.size();
+}
+
+Result<Operand> parse_operand(std::string_view token) {
     if (token.empty()) return Error("empty operand");
     if (token[0] == '$') {
         LocalId id = 0;
-        auto [ptr, ec] = std::from_chars(token.data() + 1, token.data() + token.size(), id);
-        if (ec != std::errc() || ptr != token.data() + token.size()) {
-            return Error("bad local operand: " + token);
-        }
+        if (!parse_number(token.substr(1), id)) return bad("bad local operand: ", token);
         return Operand(id);
     }
     if (is_quoted(token)) return Operand(Constant::of_string(unquote(token)));
@@ -245,90 +270,89 @@ Result<Operand> parse_operand(const std::string& token) {
     if (token == "false") return Operand(Constant::of_bool(false));
     if (strings::starts_with(token, "d:")) {
         double parsed = 0;
-        auto [dptr, dec] =
-            std::from_chars(token.data() + 2, token.data() + token.size(), parsed);
-        if (dec != std::errc() || dptr != token.data() + token.size()) {
-            return Error("bad double operand: " + token);
+        if (!parse_number(token.substr(2), parsed)) {
+            return bad("bad double operand: ", token);
         }
         return Operand(Constant::of_double(parsed));
     }
     std::int64_t value = 0;
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec == std::errc() && ptr == token.data() + token.size()) {
-        return Operand(Constant::of_int(value));
-    }
-    return Error("bad operand: " + token);
+    if (parse_number(token, value)) return Operand(Constant::of_int(value));
+    return bad("bad operand: ", token);
 }
 
 /// Guarded decimal parse for header fields (method param counts, block
 /// indices): garbage and overflow become an Error instead of a std::stoul
 /// throw escaping parse_xapk's Result contract.
-Result<std::uint32_t> parse_u32(const std::string& token, const char* what) {
+Result<std::uint32_t> parse_u32(std::string_view token, const char* what) {
     std::uint32_t value = 0;
-    auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc() || ptr != token.data() + token.size()) {
-        return Error(std::string("bad ") + what + ": " + token);
+    if (!parse_number(token, value)) {
+        return Error(std::string("bad ") + what + ": " + token_text(token));
     }
     return value;
 }
 
-Result<LocalId> parse_local(const std::string& token) {
+Result<LocalId> parse_local(std::string_view token) {
     auto op = parse_operand(token);
     if (!op.ok()) return op.error();
-    if (!op.value().is_local()) return Error("expected local, got " + token);
+    if (!op.value().is_local()) return bad("expected local, got ", token);
     return op.value().local;
 }
 
-Result<BlockId> parse_block_ref(const std::string& token) {
-    if (token.size() < 2 || token[0] != 'b') return Error("bad block ref: " + token);
+Result<BlockId> parse_block_ref(std::string_view token) {
     BlockId id = 0;
-    auto [ptr, ec] = std::from_chars(token.data() + 1, token.data() + token.size(), id);
-    if (ec != std::errc() || ptr != token.data() + token.size()) {
-        return Error("bad block ref: " + token);
+    if (token.size() < 2 || token[0] != 'b' || !parse_number(token.substr(1), id)) {
+        return bad("bad block ref: ", token);
     }
     return id;
 }
 
-Result<CmpOp> parse_cmp(const std::string& token) {
+Result<CmpOp> parse_cmp(std::string_view token) {
     if (token == "eq") return CmpOp::kEq;
     if (token == "ne") return CmpOp::kNe;
     if (token == "lt") return CmpOp::kLt;
     if (token == "le") return CmpOp::kLe;
     if (token == "gt") return CmpOp::kGt;
     if (token == "ge") return CmpOp::kGe;
-    return Error("bad cmp op: " + token);
+    return bad("bad cmp op: ", token);
 }
 
-Result<BinaryOp::Op> parse_bin(const std::string& token) {
+Result<BinaryOp::Op> parse_bin(std::string_view token) {
     if (token == "add") return BinaryOp::Op::kAdd;
     if (token == "sub") return BinaryOp::Op::kSub;
     if (token == "mul") return BinaryOp::Op::kMul;
     if (token == "div") return BinaryOp::Op::kDiv;
     if (token == "cat") return BinaryOp::Op::kConcat;
-    return Error("bad binary op: " + token);
+    return bad("bad binary op: ", token);
 }
 
-Result<InvokeKind> parse_invoke_kind(const std::string& token) {
+Result<InvokeKind> parse_invoke_kind(std::string_view token) {
     if (token == "virtual") return InvokeKind::kVirtual;
     if (token == "static") return InvokeKind::kStatic;
     if (token == "special") return InvokeKind::kSpecial;
-    return Error("bad invoke kind: " + token);
+    return bad("bad invoke kind: ", token);
 }
 
-MethodRef parse_method_ref(const std::string& qualified) {
-    auto dot = qualified.rfind('.');
-    if (dot == std::string::npos) return {"", qualified};
-    return {qualified.substr(0, dot), qualified.substr(dot + 1)};
+MethodRef parse_method_ref(std::string_view token) {
+    std::string decoded;
+    if (has_escapes(token)) token = decoded = token_text(token);
+    auto dot = token.rfind('.');
+    if (dot == std::string_view::npos) return {"", std::string(token)};
+    return {std::string(token.substr(0, dot)), std::string(token.substr(dot + 1))};
 }
 
-Result<Statement> parse_statement(const std::vector<std::string>& t) {
-    const std::string& op = t[0];
+/// Parses one statement line and appends the statement to `out`.
+Status parse_statement(const std::vector<std::string_view>& t, std::vector<Statement>& out) {
+    std::string_view op = t[0];
     auto need = [&](std::size_t n) -> Status {
-        if (t.size() < n) return Error("statement '" + op + "' needs more tokens");
+        if (t.size() < n) return Error("statement '" + token_text(op) + "' needs more tokens");
+        return Status::success();
+    };
+    auto emit = [&out](auto stmt) {
+        out.emplace_back(std::move(stmt));
         return Status::success();
     };
 
-    if (op == "nop") return Statement(Nop{});
+    if (op == "nop") return emit(Nop{});
     if (op == "const") {
         if (auto s = need(3); !s.ok()) return s.error();
         auto dst = parse_local(t[1]);
@@ -336,7 +360,7 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         auto value = parse_operand(t[2]);
         if (!value.ok()) return value.error();
         if (value.value().is_local()) return Error("const with local operand");
-        return Statement(AssignConst{dst.value(), value.value().constant});
+        return emit(AssignConst{dst.value(), std::move(value).take().constant});
     }
     if (op == "copy") {
         if (auto s = need(3); !s.ok()) return s.error();
@@ -344,13 +368,13 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         auto src = parse_local(t[2]);
         if (!dst.ok()) return dst.error();
         if (!src.ok()) return src.error();
-        return Statement(AssignCopy{dst.value(), src.value()});
+        return emit(AssignCopy{dst.value(), src.value()});
     }
     if (op == "new") {
         if (auto s = need(3); !s.ok()) return s.error();
         auto dst = parse_local(t[1]);
         if (!dst.ok()) return dst.error();
-        return Statement(NewObject{dst.value(), t[2]});
+        return emit(NewObject{dst.value(), token_text(t[2])});
     }
     if (op == "getf") {
         if (auto s = need(4); !s.ok()) return s.error();
@@ -358,7 +382,7 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         auto base = parse_local(t[2]);
         if (!dst.ok()) return dst.error();
         if (!base.ok()) return base.error();
-        return Statement(LoadField{dst.value(), base.value(), t[3]});
+        return emit(LoadField{dst.value(), base.value(), token_text(t[3])});
     }
     if (op == "putf") {
         if (auto s = need(4); !s.ok()) return s.error();
@@ -366,19 +390,19 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         if (!base.ok()) return base.error();
         auto src = parse_operand(t[3]);
         if (!src.ok()) return src.error();
-        return Statement(StoreField{base.value(), t[2], src.value()});
+        return emit(StoreField{base.value(), token_text(t[2]), std::move(src).take()});
     }
     if (op == "gets") {
         if (auto s = need(4); !s.ok()) return s.error();
         auto dst = parse_local(t[1]);
         if (!dst.ok()) return dst.error();
-        return Statement(LoadStatic{dst.value(), t[2], t[3]});
+        return emit(LoadStatic{dst.value(), token_text(t[2]), token_text(t[3])});
     }
     if (op == "puts") {
         if (auto s = need(4); !s.ok()) return s.error();
         auto src = parse_operand(t[3]);
         if (!src.ok()) return src.error();
-        return Statement(StoreStatic{t[1], t[2], src.value()});
+        return emit(StoreStatic{token_text(t[1]), token_text(t[2]), std::move(src).take()});
     }
     if (op == "geta") {
         if (auto s = need(4); !s.ok()) return s.error();
@@ -388,7 +412,7 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         if (!array.ok()) return array.error();
         auto index = parse_operand(t[3]);
         if (!index.ok()) return index.error();
-        return Statement(LoadArray{dst.value(), array.value(), index.value()});
+        return emit(LoadArray{dst.value(), array.value(), std::move(index).take()});
     }
     if (op == "puta") {
         if (auto s = need(4); !s.ok()) return s.error();
@@ -398,7 +422,7 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         auto src = parse_operand(t[3]);
         if (!index.ok()) return index.error();
         if (!src.ok()) return src.error();
-        return Statement(StoreArray{array.value(), index.value(), src.value()});
+        return emit(StoreArray{array.value(), std::move(index).take(), std::move(src).take()});
     }
     if (op == "bin") {
         if (auto s = need(5); !s.ok()) return s.error();
@@ -410,7 +434,8 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         auto rhs = parse_operand(t[4]);
         if (!lhs.ok()) return lhs.error();
         if (!rhs.ok()) return rhs.error();
-        return Statement(BinaryOp{dst.value(), kind.value(), lhs.value(), rhs.value()});
+        return emit(BinaryOp{dst.value(), kind.value(), std::move(lhs).take(),
+                             std::move(rhs).take()});
     }
     if (op == "call") {
         if (auto s = need(5); !s.ok()) return s.error();
@@ -429,12 +454,13 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
             if (!base.ok()) return base.error();
             call.base = base.value();
         }
+        call.args.reserve(t.size() - 5);
         for (std::size_t i = 5; i < t.size(); ++i) {
             auto arg = parse_operand(t[i]);
             if (!arg.ok()) return arg.error();
-            call.args.push_back(arg.value());
+            call.args.push_back(std::move(arg).take());
         }
-        return Statement(std::move(call));
+        return emit(std::move(call));
     }
     if (op == "if") {
         if (auto s = need(6); !s.ok()) return s.error();
@@ -448,23 +474,23 @@ Result<Statement> parse_statement(const std::vector<std::string>& t) {
         if (!rhs.ok()) return rhs.error();
         if (!then_block.ok()) return then_block.error();
         if (!else_block.ok()) return else_block.error();
-        return Statement(
-            If{lhs.value(), cmp.value(), rhs.value(), then_block.value(), else_block.value()});
+        return emit(If{std::move(lhs).take(), cmp.value(), std::move(rhs).take(),
+                       then_block.value(), else_block.value()});
     }
     if (op == "goto") {
         if (auto s = need(2); !s.ok()) return s.error();
         auto target = parse_block_ref(t[1]);
         if (!target.ok()) return target.error();
-        return Statement(Goto{target.value()});
+        return emit(Goto{target.value()});
     }
     if (op == "ret") {
         if (auto s = need(2); !s.ok()) return s.error();
-        if (t[1] == "_") return Statement(Return{});
+        if (t[1] == "_") return emit(Return{});
         auto value = parse_operand(t[1]);
         if (!value.ok()) return value.error();
-        return Statement(Return{value.value()});
+        return emit(Return{std::move(value).take()});
     }
-    return Error("unknown statement mnemonic: " + op);
+    return bad("unknown statement mnemonic: ", op);
 }
 
 }  // namespace
@@ -476,6 +502,18 @@ Result<Program> parse_xapk(std::string_view input) {
     Class* current_class = nullptr;
     Method* current_method = nullptr;
     BasicBlock* current_block = nullptr;
+    // Views into `input`, reused by every line.
+    std::vector<std::string_view> t;
+    // The current block's statements, moved into it in one exact allocation
+    // when the block ends.
+    std::vector<Statement> pending;
+    auto end_block = [&] {
+        if (current_block) {
+            current_block->statements.assign(std::make_move_iterator(pending.begin()),
+                                             std::make_move_iterator(pending.end()));
+        }
+        pending.clear();
+    };
 
     std::size_t line_number = 0;
     std::size_t pos = 0;
@@ -488,17 +526,13 @@ Result<Program> parse_xapk(std::string_view input) {
 
         std::string_view line = strings::trim(raw);
         if (line.empty() || line[0] == '#') continue;
-        auto tokens_result = tokenize(line);
-        if (!tokens_result.ok()) {
-            return tokens_result.error().with_context("line " + std::to_string(line_number));
-        }
-        const auto& t = tokens_result.value();
-        if (t.empty()) continue;
         auto fail = [&](const std::string& why) -> Result<Program> {
             return Error("xapk line " + std::to_string(line_number) + ": " + why);
         };
+        if (!tokenize(line, t)) return fail("unterminated string literal");
+        if (t.empty()) continue;
 
-        const std::string& keyword = t[0];
+        std::string_view keyword = t[0];
         if (keyword == "xapk") {
             if (t.size() != 2 || t[1] != "1") return fail("unsupported xapk version");
         } else if (keyword == "app") {
@@ -506,19 +540,20 @@ Result<Program> parse_xapk(std::string_view input) {
             program.app_name = unquote(t[1]);
         } else if (keyword == "resource") {
             if (t.size() != 3 || !is_quoted(t[2])) return fail("resource id \"value\"");
-            program.resources.emplace_back(t[1], unquote(t[2]));
+            program.resources.emplace_back(token_text(t[1]), unquote(t[2]));
         } else if (keyword == "event") {
             if (t.size() != 4 || !is_quoted(t[3])) return fail("event kind method \"label\"");
-            auto kind = parse_event_kind(t[1]);
+            auto kind = parse_event_kind(token_text(t[1]));
             if (!kind.ok()) return fail(kind.error().message);
             program.events.push_back({parse_method_ref(t[2]), kind.value(), unquote(t[3])});
         } else if (keyword == "class") {
             if (t.size() != 2 && !(t.size() == 4 && t[2] == "extends")) {
                 return fail("class NAME [extends SUPER]");
             }
+            end_block();
             Class cls;
-            cls.name = t[1];
-            if (t.size() == 4) cls.super = t[3];
+            cls.name = token_text(t[1]);
+            if (t.size() == 4) cls.super = token_text(t[3]);
             program.classes.push_back(std::move(cls));
             current_class = &program.classes.back();
             current_method = nullptr;
@@ -526,25 +561,26 @@ Result<Program> parse_xapk(std::string_view input) {
         } else if (keyword == "field") {
             if (!current_class) return fail("field outside class");
             if (t.size() != 3) return fail("field NAME TYPE");
-            current_class->fields.push_back({t[1], t[2]});
+            current_class->fields.push_back({token_text(t[1]), token_text(t[2])});
         } else if (keyword == "method") {
             if (!current_class) return fail("method outside class");
             if (t.size() != 5) return fail("method NAME STATIC PARAMS RET");
+            end_block();
             Method method;
-            method.name = t[1];
+            method.name = token_text(t[1]);
             method.class_name = current_class->name;
             method.is_static = t[2] == "1";
             auto params = parse_u32(t[3], "method param count");
             if (!params.ok()) return fail(params.error().message);
             method.param_count = params.value();
-            method.return_type = t[4];
+            method.return_type = token_text(t[4]);
             current_class->methods.push_back(std::move(method));
             current_method = &current_class->methods.back();
             current_block = nullptr;
         } else if (keyword == "local") {
             if (!current_method) return fail("local outside method");
             if (t.size() != 3) return fail("local NAME TYPE");
-            current_method->locals.push_back({t[1], t[2]});
+            current_method->locals.push_back({token_text(t[1]), token_text(t[2])});
         } else if (keyword == "block") {
             if (!current_method) return fail("block outside method");
             if (t.size() != 2) return fail("block INDEX");
@@ -553,16 +589,16 @@ Result<Program> parse_xapk(std::string_view input) {
             if (index.value() != current_method->blocks.size()) {
                 return fail("blocks must appear in order");
             }
+            end_block();
             current_method->blocks.emplace_back();
             current_block = &current_method->blocks.back();
         } else {
             if (!current_block) return fail("statement outside block");
-            auto stmt = parse_statement(t);
-            if (!stmt.ok()) return fail(stmt.error().message);
-            current_block->statements.push_back(std::move(stmt).take());
+            if (auto s = parse_statement(t, pending); !s.ok()) return fail(s.error().message);
         }
     }
 
+    end_block();
     program.reindex();
     if (auto status = xir::verify(program); !status.ok()) {
         return Error("parsed xapk failed verification: " + status.error().message);

@@ -17,6 +17,9 @@ namespace extractocol::xapk {
 std::string write_xapk(const xir::Program& program);
 
 /// Parses a .xapk document; the returned program is reindexed and verified.
+/// Tokens are views into `input`; a string is decoded or copied only when
+/// it lands in the program. Every error reads "xapk line N: ..." (N is
+/// 1-based), except a failed verification of the whole program.
 Result<xir::Program> parse_xapk(std::string_view input);
 
 }  // namespace extractocol::xapk

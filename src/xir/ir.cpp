@@ -58,42 +58,7 @@ bool is_terminator(const Statement& stmt) {
 
 std::vector<LocalId> uses_of(const Statement& stmt) {
     std::vector<LocalId> out;
-    auto add = [&out](const Operand& op) {
-        if (op.is_local()) out.push_back(op.local);
-    };
-    std::visit(
-        [&](const auto& s) {
-            using T = std::decay_t<decltype(s)>;
-            if constexpr (std::is_same_v<T, AssignCopy>) {
-                out.push_back(s.src);
-            } else if constexpr (std::is_same_v<T, LoadField>) {
-                out.push_back(s.base);
-            } else if constexpr (std::is_same_v<T, StoreField>) {
-                out.push_back(s.base);
-                add(s.src);
-            } else if constexpr (std::is_same_v<T, StoreStatic>) {
-                add(s.src);
-            } else if constexpr (std::is_same_v<T, LoadArray>) {
-                out.push_back(s.array);
-                add(s.index);
-            } else if constexpr (std::is_same_v<T, StoreArray>) {
-                out.push_back(s.array);
-                add(s.index);
-                add(s.src);
-            } else if constexpr (std::is_same_v<T, BinaryOp>) {
-                add(s.lhs);
-                add(s.rhs);
-            } else if constexpr (std::is_same_v<T, Invoke>) {
-                if (s.base) out.push_back(*s.base);
-                for (const auto& a : s.args) add(a);
-            } else if constexpr (std::is_same_v<T, If>) {
-                add(s.lhs);
-                add(s.rhs);
-            } else if constexpr (std::is_same_v<T, Return>) {
-                if (s.value) add(*s.value);
-            }
-        },
-        stmt);
+    for_each_use(stmt, [&out](LocalId use) { out.push_back(use); });
     return out;
 }
 

@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -246,7 +247,46 @@ using Statement =
 
 [[nodiscard]] bool is_terminator(const Statement& stmt);
 
-/// Local variables read by a statement (operands, bases, receivers, args).
+/// Calls `fn(LocalId)` for every local a statement reads (operands, bases,
+/// receivers, args), in operand order, without allocating.
+template <typename Fn>
+void for_each_use(const Statement& stmt, Fn&& fn) {
+    auto operand = [&fn](const Operand& op) {
+        if (op.is_local()) fn(op.local);
+    };
+    std::visit(
+        [&](const auto& s) {
+            using T = std::decay_t<decltype(s)>;
+            if constexpr (std::is_same_v<T, AssignCopy>) {
+                fn(s.src);
+            } else if constexpr (std::is_same_v<T, LoadField>) {
+                fn(s.base);
+            } else if constexpr (std::is_same_v<T, StoreField>) {
+                fn(s.base);
+                operand(s.src);
+            } else if constexpr (std::is_same_v<T, StoreStatic>) {
+                operand(s.src);
+            } else if constexpr (std::is_same_v<T, LoadArray>) {
+                fn(s.array);
+                operand(s.index);
+            } else if constexpr (std::is_same_v<T, StoreArray>) {
+                fn(s.array);
+                operand(s.index);
+                operand(s.src);
+            } else if constexpr (std::is_same_v<T, BinaryOp> || std::is_same_v<T, If>) {
+                operand(s.lhs);
+                operand(s.rhs);
+            } else if constexpr (std::is_same_v<T, Invoke>) {
+                if (s.base) fn(*s.base);
+                for (const auto& a : s.args) operand(a);
+            } else if constexpr (std::is_same_v<T, Return>) {
+                if (s.value) operand(*s.value);
+            }
+        },
+        stmt);
+}
+
+/// Local variables read by a statement, as for_each_use visits them.
 std::vector<LocalId> uses_of(const Statement& stmt);
 
 /// Local defined by a statement, if any.

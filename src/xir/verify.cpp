@@ -26,12 +26,14 @@ Status verify_method(const Method& method) {
             if (is_terminator(stmt) && i + 1 != stmts.size()) {
                 return method_error(method, "terminator mid-block in b" + std::to_string(b));
             }
-            for (LocalId use : uses_of(stmt)) {
-                if (use >= local_count) {
-                    return method_error(method, "use of undeclared local $" +
-                                                    std::to_string(use) + " in " +
-                                                    to_display(stmt));
-                }
+            std::optional<LocalId> bad_use;
+            for_each_use(stmt, [&](LocalId use) {
+                if (!bad_use && use >= local_count) bad_use = use;
+            });
+            if (bad_use) {
+                return method_error(method, "use of undeclared local $" +
+                                                std::to_string(*bad_use) + " in " +
+                                                to_display(stmt));
             }
             if (auto def = def_of(stmt); def && *def >= local_count) {
                 return method_error(method,

@@ -4,6 +4,7 @@
 #include "sig/sig.hpp"
 #include "sig/value.hpp"
 #include "text/regex.hpp"
+#include "xir/builder.hpp"
 
 using namespace extractocol;
 using namespace extractocol::sig;
@@ -339,4 +340,175 @@ TEST(MergeJson, NestedObjectsMergeRecursively) {
     ASSERT_NE(data, nullptr);
     EXPECT_NE(data->member("x"), nullptr);
     EXPECT_NE(data->member("y"), nullptr);
+}
+
+// ------------------------------------------------- producer pre-pass --
+
+namespace {
+
+/// onClick sends Config.host ++ Config.path. onCreate stores host two calls
+/// down (onCreate -> Net.init -> Net.setHost); onTimer stores a path;
+/// onLocation reaches Helper.b two calls down (through Helper.a) without any
+/// data effect.
+struct ProducerFixture {
+    xir::Program program;
+    semantics::SemanticModel model = semantics::SemanticModel::standard();
+    std::uint32_t on_click = 0;
+    xir::StmtRef dp_site;
+
+    ProducerFixture() {
+        using namespace xir;
+        ProgramBuilder pb("producers");
+        auto config = pb.add_class("com.t.Config");
+        config.field("host", "java.lang.String");
+        config.field("path", "java.lang.String");
+        auto net = pb.add_class("com.t.Net");
+        {
+            auto mb = net.method("setHost");
+            mb.set_static();
+            mb.store_static("com.t.Config", "host", cs("http://one.example.com"));
+            mb.ret();
+        }
+        {
+            auto mb = net.method("init");
+            mb.set_static();
+            mb.scall(std::nullopt, "com.t.Net.setHost");
+            mb.ret();
+        }
+        auto helper = pb.add_class("com.t.Helper");
+        {
+            auto mb = helper.method("b");
+            mb.set_static();
+            mb.ret();
+        }
+        {
+            auto mb = helper.method("a");
+            mb.set_static();
+            mb.scall(std::nullopt, "com.t.Helper.b");
+            mb.ret();
+        }
+        auto main = pb.add_class("com.t.Main", "android.app.Activity");
+        {
+            auto mb = main.method("onCreate");
+            mb.scall(std::nullopt, "com.t.Net.init");
+            mb.ret();
+        }
+        {
+            auto mb = main.method("onTimer");
+            mb.store_static("com.t.Config", "path", cs("/conflict"));
+            mb.ret();
+        }
+        {
+            auto mb = main.method("onLocation");
+            mb.scall(std::nullopt, "com.t.Helper.a");
+            mb.ret();
+        }
+        {
+            auto mb = main.method("onClick");
+            LocalId host = mb.local("host", "java.lang.String");
+            LocalId path = mb.local("path", "java.lang.String");
+            LocalId url = mb.local("url", "java.lang.String");
+            mb.load_static(host, "com.t.Config", "host");
+            mb.load_static(path, "com.t.Config", "path");
+            mb.concat(url, Operand(host), Operand(path));
+            LocalId request = mb.local("req", "org.apache.http.client.methods.HttpGet");
+            mb.new_object(request, "org.apache.http.client.methods.HttpGet");
+            mb.special(request, "org.apache.http.client.methods.HttpGet.<init>",
+                       {Operand(url)});
+            LocalId client = mb.local("client", "org.apache.http.client.HttpClient");
+            LocalId response = mb.local("resp", "org.apache.http.HttpResponse");
+            mb.vcall(response, client, "org.apache.http.client.HttpClient.execute",
+                     {Operand(request)});
+            mb.ret();
+        }
+        pb.register_event({"com.t.Main", "onCreate"}, EventKind::kOnCreate, "create");
+        pb.register_event({"com.t.Main", "onTimer"}, EventKind::kOnTimer, "timer");
+        pb.register_event({"com.t.Main", "onLocation"}, EventKind::kOnLocation, "location");
+        pb.register_event({"com.t.Main", "onClick"}, EventKind::kOnClick, "click");
+        program = pb.build();
+
+        on_click = *program.method_index({"com.t.Main", "onClick"});
+        const auto& stmts = program.method_at(on_click).blocks[0].statements;
+        for (std::uint32_t i = 0; i < stmts.size(); ++i) {
+            const auto* call = std::get_if<Invoke>(&stmts[i]);
+            if (call && call->callee.method_name == "execute") dp_site = {on_click, 0, i};
+        }
+    }
+
+    /// Every statement of `cls.method`.
+    void add_method(std::set<xir::StmtRef>& slice, const std::string& cls,
+                    const std::string& method) const {
+        std::uint32_t mi = *program.method_index({cls, method});
+        const auto& blocks = program.method_at(mi).blocks;
+        for (xir::BlockId b = 0; b < blocks.size(); ++b) {
+            for (std::uint32_t i = 0; i < blocks[b].statements.size(); ++i) {
+                slice.insert({mi, b, i});
+            }
+        }
+    }
+
+    /// The transaction's slice: all of onClick, plus the call chain that
+    /// carries control from onCreate down to the host store.
+    [[nodiscard]] std::set<xir::StmtRef> slice() const {
+        std::set<xir::StmtRef> slice;
+        add_method(slice, "com.t.Main", "onClick");
+        add_method(slice, "com.t.Main", "onCreate");
+        add_method(slice, "com.t.Net", "init");
+        add_method(slice, "com.t.Net", "setHost");
+        return slice;
+    }
+
+    std::optional<TransactionSignature> build(const std::set<xir::StmtRef>* slice,
+                                              BuildStats* stats = nullptr) const {
+        xir::CallGraph callgraph(program, model.callback_resolver());
+        SignatureBuilder builder(program, callgraph, model);
+        BuildRequest request;
+        request.dp_site = dp_site;
+        request.dp = model.demarcation("org.apache.http.client.HttpClient", "execute");
+        request.slice = slice;
+        return builder.build(request, stats);
+    }
+};
+
+}  // namespace
+
+TEST(ProducerPrePass, HandlerTwoCallsFromTheSliceIsInterpreted) {
+    ProducerFixture f;
+    auto slice = f.slice();
+    auto signature = f.build(&slice);
+    ASSERT_TRUE(signature.has_value());
+    EXPECT_NE(signature->uri_regex().find("one"), std::string::npos) << signature->uri_regex();
+
+    // onLocation has no slice statement of its own and neither has Helper.a;
+    // one statement of Helper.b in the slice makes onLocation a producer, so
+    // its two statements (the out-of-slice call is skipped) are executed.
+    BuildStats without;
+    ASSERT_TRUE(f.build(&slice, &without).has_value());
+    std::uint32_t b = *f.program.method_index({"com.t.Helper", "b"});
+    slice.insert({b, 0, 0});
+    BuildStats with;
+    ASSERT_TRUE(f.build(&slice, &with).has_value());
+    EXPECT_EQ(with.steps, without.steps + 2);
+}
+
+TEST(ProducerPrePass, HandlerReachingNoSliceMethodIsSkipped) {
+    ProducerFixture f;
+    auto slice = f.slice();
+    BuildStats stats;
+    auto signature = f.build(&slice, &stats);
+    ASSERT_TRUE(signature.has_value());
+    EXPECT_EQ(signature->uri_regex().find("conflict"), std::string::npos)
+        << signature->uri_regex();
+    // onClick, onCreate, Net.init and Net.setHost: nothing of onTimer or
+    // onLocation.
+    EXPECT_EQ(stats.steps, slice.size());
+}
+
+TEST(ProducerPrePass, NullSliceInterpretsEveryHandler) {
+    ProducerFixture f;
+    auto signature = f.build(nullptr);
+    ASSERT_TRUE(signature.has_value());
+    EXPECT_NE(signature->uri_regex().find("one"), std::string::npos) << signature->uri_regex();
+    EXPECT_NE(signature->uri_regex().find("conflict"), std::string::npos)
+        << signature->uri_regex();
 }

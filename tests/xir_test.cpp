@@ -199,10 +199,121 @@ TEST(Xapk, RoundTripPreservesStringEscapes) {
     EXPECT_EQ(assign.value.string_value, "line\nquote\"backslash\\tab\t");
 }
 
-TEST(Xapk, ParseErrors) {
-    EXPECT_FALSE(xapk::parse_xapk("xapk 2\n").ok());
-    EXPECT_FALSE(xapk::parse_xapk("xapk 1\nfield x int\n").ok());
-    EXPECT_FALSE(xapk::parse_xapk("xapk 1\nclass C\nmethod m 0 0 void\nblock 0\nbogus\n").ok());
+// Pins the loader's error contract: every malformed input yields exactly this
+// message, with the 1-based line number of the offending line.
+TEST(Xapk, ParseErrorMessages) {
+    const std::string method =
+        "xapk 1\nclass C\n  method m 0 1 void\n    local a int\n    block 0\n";
+    struct Row {
+        std::string input;
+        std::string message;
+    };
+    const std::vector<Row> rows = {
+        {"xapk 1\napp \"abc\n", "xapk line 2: unterminated string literal"},
+        {"xapk 1\napp \"abc\\\"\n", "xapk line 2: unterminated string literal"},
+        {"xapk 1\napp \"abc\\\n", "xapk line 2: unterminated string literal"},
+        {"xapk 2\n", "xapk line 1: unsupported xapk version"},
+        {"# header\n\nxapk 2\n", "xapk line 3: unsupported xapk version"},
+        {"xapk 1\napp abc\n", "xapk line 2: app needs quoted name"},
+        {"xapk 1\nresource k v\n", "xapk line 2: resource id \"value\""},
+        {"xapk 1\nevent onFoo C.m \"l\"\n", "xapk line 2: unknown event kind: onFoo"},
+        {"xapk 1\nclass C extends\n", "xapk line 2: class NAME [extends SUPER]"},
+        {"xapk 1\nfield x int\n", "xapk line 2: field outside class"},
+        {"xapk 1\nmethod m 0 0 void\n", "xapk line 2: method outside class"},
+        {"xapk 1\nclass C\n  method m 0 99999999999 void\n",
+         "xapk line 3: bad method param count: 99999999999"},
+        {"xapk 1\nclass C\n  method m 0 0 void\n  nop\n",
+         "xapk line 4: statement outside block"},
+        {"xapk 1\nclass C\n  method m 0 0 void\n    block 1\n",
+         "xapk line 4: blocks must appear in order"},
+        {"xapk 1\nclass C\n  method m 0 0 void\n    block b0\n",
+         "xapk line 4: bad block index: b0"},
+        {method + "      const $x 1\n", "xapk line 6: bad local operand: $x"},
+        {method + "      const $99999999999 1\n",
+         "xapk line 6: bad local operand: $99999999999"},
+        {method + "      const $0 99999999999999999999\n",
+         "xapk line 6: bad operand: 99999999999999999999"},
+        {method + "      const $0 d:abc\n", "xapk line 6: bad double operand: d:abc"},
+        {method + "      const $0 $0\n", "xapk line 6: const with local operand"},
+        {method + "      const $0\n", "xapk line 6: statement 'const' needs more tokens"},
+        {method + "      copy $0 5\n", "xapk line 6: expected local, got 5"},
+        {method + "      copy $0 \"a\\qb\"\n", "xapk line 6: expected local, got \"aqb\""},
+        {method + "      goto x1\n", "xapk line 6: bad block ref: x1"},
+        {method + "      goto b\n", "xapk line 6: bad block ref: b"},
+        {method + "      goto b99999999999\n", "xapk line 6: bad block ref: b99999999999"},
+        {method + "      if $0 zz $0 b0 b0\n", "xapk line 6: bad cmp op: zz"},
+        {method + "      bin $0 pow 1 2\n", "xapk line 6: bad binary op: pow"},
+        {method + "      call _ dynamic C.m _\n", "xapk line 6: bad invoke kind: dynamic"},
+        {method + "      bogus 1\n", "xapk line 6: unknown statement mnemonic: bogus"},
+        {"xapk 1\nclass C\nmethod m 0 0 void\nblock 0\nbogus\n",
+         "xapk line 5: unknown statement mnemonic: bogus"},
+        {method + "      \"a\\\"b\"\n", "xapk line 6: unknown statement mnemonic: \"a\"b\""},
+        {method + "      copy $0 $5\n      ret _\n",
+         "parsed xapk failed verification: method C.m: use of undeclared local $5 in "
+         "$0 = $5"},
+        {method + "      call _ static C.m $3 $0 $9\n      ret _\n",
+         "parsed xapk failed verification: method C.m: use of undeclared local $3 in "
+         "$3.C.m($0, $9)"},
+    };
+    for (const Row& row : rows) {
+        auto parsed = xapk::parse_xapk(row.input);
+        ASSERT_FALSE(parsed.ok()) << row.input;
+        EXPECT_EQ(parsed.error().message, row.message) << row.input;
+    }
+}
+
+// Lexical variants the loader must read as the same program.
+TEST(Xapk, LexicalVariantsParseIdentically) {
+    const std::string canonical =
+        "xapk 1\n"
+        "app \"lex\"\n"
+        "resource k \"v\\\\w\"\n"
+        "event click C.m \"click:\\\"x\\\"\"\n"
+        "class C\n"
+        "  field f int\n"
+        "  method m 0 1 void\n"
+        "    local a java.lang.String\n"
+        "    block 0\n"
+        "      const $0 \"\"\n"
+        "      const $0 \"qz\"\n"
+        "      call _ static C.g _ \"a\" $0\n"
+        "      ret _\n"
+        "  method g 1 2 void\n"
+        "    local x java.lang.String\n"
+        "    local y java.lang.String\n"
+        "    block 0\n"
+        "      ret _\n";
+    auto replace_all = [](std::string s, const std::string& from, const std::string& to) {
+        for (std::size_t at = s.find(from); at != std::string::npos;
+             at = s.find(from, at + to.size())) {
+            s.replace(at, from.size(), to);
+        }
+        return s;
+    };
+    auto base = xapk::parse_xapk(canonical);
+    ASSERT_TRUE(base.ok()) << base.error().message;
+    const std::string expected = xapk::write_xapk(base.value());
+    EXPECT_EQ(expected, canonical);
+    ASSERT_EQ(base.value().resources.size(), 1u);
+    EXPECT_EQ(base.value().resources[0].second, "v\\w");
+    EXPECT_EQ(base.value().events[0].label, "click:\"x\"");
+    const auto& stmts = base.value().classes[0].methods[0].blocks[0].statements;
+    EXPECT_EQ(std::get<AssignConst>(stmts[0]).value.string_value, "");
+
+    const std::vector<std::string> variants = {
+        replace_all(canonical, "\n", "\r\n"),
+        replace_all(replace_all(canonical, "  ", "\t"), " $", "\t$"),
+        canonical.substr(0, canonical.size() - 1),
+        replace_all(replace_all(canonical, "class C\n", "# a comment\n\nclass C\n   \n"),
+                    "    block 0\n", "    # indented comment\n    block 0\n"),
+        replace_all(canonical, "\"qz\"", "\"\\q\\z\""),
+        replace_all(canonical, "\"a\" $0", "\"a\"$0"),
+    };
+    for (const std::string& text : variants) {
+        auto parsed = xapk::parse_xapk(text);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().message << "\n" << text;
+        EXPECT_EQ(xapk::write_xapk(parsed.value()), expected) << text;
+    }
 }
 
 TEST(Obfuscate, RenamesAppIdentifiersOnly) {
