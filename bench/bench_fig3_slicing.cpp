@@ -28,8 +28,10 @@ int main() {
                 [&] {
                     std::set<xir::StmtRef> all;
                     for (const auto& t : txns) {
-                        all.insert(t.request_slice.begin(), t.request_slice.end());
-                        all.insert(t.response_slice.begin(), t.response_slice.end());
+                        const auto& request = t.request_taint.statements;
+                        const auto& response = t.response_taint.statements;
+                        all.insert(request.begin(), request.end());
+                        all.insert(response.begin(), response.end());
                     }
                     return all.size();
                 }(),

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <set>
 
 #include "core/analyzer.hpp"
 #include "core/matcher.hpp"

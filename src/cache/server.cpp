@@ -417,6 +417,9 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
         // their connection attribution without per-span payloads.
         tracer.name_current_thread("conn-" + std::to_string(connection_id));
     }
+    // Framing is linear in the bytes received: each read scans only its new
+    // bytes for newlines, and the consumed lines leave the buffer in one
+    // erase per read.
     std::string buffer;
     char chunk[4096];
     bool shutdown = false;
@@ -428,11 +431,13 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
             break;
         }
         if (n == 0) break;  // client closed (or shutdown_all unblocked us)
+        std::size_t scan = buffer.size();
         buffer.append(chunk, static_cast<std::size_t>(n));
+        std::size_t line_start = 0;
         std::size_t newline = 0;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, newline);
-            buffer.erase(0, newline + 1);
+        while ((newline = buffer.find('\n', scan)) != std::string::npos) {
+            std::string line = buffer.substr(line_start, newline - line_start);
+            line_start = scan = newline + 1;
             if (line.empty()) continue;
             std::string payload = run_request(state, connection_id, line, shutdown);
             bool sent = write_all(fd, payload);
@@ -445,6 +450,7 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
                 break;
             }
         }
+        buffer.erase(0, line_start);
         // A "line" past 64 MiB with no newline is not a protocol client.
         if (dead || buffer.size() > (64u << 20)) break;
     }
@@ -643,8 +649,10 @@ int connect_with_retry(const std::string& socket_path, double timeout_seconds) {
 /// daemon closes first.
 bool read_response_line(int fd, std::string& buffer, std::string& line) {
     char chunk[4096];
+    std::size_t scan = 0;  // bytes already searched for the newline
     std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
+    while ((newline = buffer.find('\n', scan)) == std::string::npos) {
+        scan = buffer.size();
         ssize_t n = ::read(fd, chunk, sizeof chunk);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) {

@@ -205,13 +205,14 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
                       std::make_move_iterator(txns.end()));
     }
     per_site.clear();
-    report.stats.slice_statements = 0;
     {
-        std::set<StmtRef> all;
+        std::vector<StmtRef> all;
         for (const auto& txn : sliced) {
-            all.insert(txn.combined_slice.begin(), txn.combined_slice.end());
+            all.insert(all.end(), txn.combined_slice.begin(), txn.combined_slice.end());
         }
-        report.stats.slice_statements = all.size();
+        std::sort(all.begin(), all.end());
+        report.stats.slice_statements =
+            static_cast<std::size_t>(std::unique(all.begin(), all.end()) - all.begin());
     }
     end_phase("slicing", slicing_span);
 
@@ -254,11 +255,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     report.stats.contexts = sliced.size();
     report.stats.dropped_intent_contexts = contexts_before_filter - sliced.size();
 
-    struct Built {
-        std::size_t sliced_index;
-        sig::TransactionSignature signature;
-    };
-    std::vector<std::optional<sig::TransactionSignature>> signatures(sliced.size());
+    std::vector<std::optional<sig::TransactionSignature>> built(sliced.size());
     std::vector<char> build_capped(sliced.size(), 0);
     {
         auto stage = budget.stage(sliced.size());
@@ -274,7 +271,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
             request.slice = &sliced[i].combined_slice;
             request.max_steps = options_.max_sig_steps;
             sig::BuildStats build_stats;
-            signatures[i] = builder.build(request, &build_stats);
+            built[i] = builder.build(request, &build_stats);
             build_capped[i] = build_stats.step_capped ? 1 : 0;
             stage.record(i, build_stats.steps);
         });
@@ -284,7 +281,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         // to the budget_exhausted outcome. A context *kept* but step-capped
         // (per-build cap) keeps its partial signature — its unknown leaves
         // carry the budget_exhausted reason — and flags its site too.
-        for (std::size_t i = cut; i < sliced.size(); ++i) signatures[i].reset();
+        for (std::size_t i = cut; i < sliced.size(); ++i) built[i].reset();
         for (std::size_t i = 0; i < sliced.size(); ++i) {
             if (i >= cut || build_capped[i]) {
                 auto it = audit_index.find(sliced[i].dp_site);
@@ -292,15 +289,19 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
             }
         }
     }
-    std::vector<Built> built;
+    // Keep the built transactions: compact them, in order, to the front of
+    // `sliced`; signatures[i] belongs to sliced[i] from here on.
+    std::vector<sig::TransactionSignature> signatures;
     for (std::size_t i = 0; i < sliced.size(); ++i) {
-        if (!signatures[i]) continue;
-        built.push_back({i, std::move(*signatures[i])});
+        if (!built[i]) continue;
+        if (signatures.size() != i) sliced[signatures.size()] = std::move(sliced[i]);
+        signatures.push_back(std::move(*built[i]));
     }
-    signatures.clear();
+    sliced.resize(signatures.size());
+    built.clear();
 
-    for (const auto& b : built) {
-        auto it = audit_index.find(sliced[b.sliced_index].dp_site);
+    for (const auto& t : sliced) {
+        auto it = audit_index.find(t.dp_site);
         if (it != audit_index.end()) ++report.audit.dp_sites[it->second].built;
     }
     for (std::size_t i = 0; i < report.audit.dp_sites.size(); ++i) {
@@ -328,14 +329,11 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // onto the deduplicated report records.
     obs::Span txn_span("txn", "core");
     txn::DependencyAnalyzer deps(*program, slicer.callgraph(), model_, slicer.engine());
-    std::vector<slicing::SlicedTransaction> built_sliced;
-    built_sliced.reserve(built.size());
-    for (const auto& b : built) built_sliced.push_back(sliced[b.sliced_index]);
     // An exhausted budget skips dependency analysis outright: the surviving
     // transaction set is already partial, and the phase's taint runs would
     // charge nothing (keeping the degraded report cheap is the point).
     std::vector<txn::Dependency> raw_edges;
-    if (!budget.exhausted()) raw_edges = deps.analyze(built_sliced);
+    if (!budget.exhausted()) raw_edges = deps.analyze(sliced);
     end_phase("txn", txn_span);
 
     // Deduplicate: one report transaction per distinct signature. The merge
@@ -343,12 +341,12 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // an O(n²) scan here would become the serial bottleneck of the parallel
     // pipeline.
     obs::Span dedup_span("dedup", "core");
-    std::vector<std::size_t> report_index_of(built.size());
+    std::vector<std::size_t> report_index_of(sliced.size());
     std::unordered_map<std::string, std::size_t> index_by_key;
-    index_by_key.reserve(built.size());
-    for (std::size_t bi = 0; bi < built.size(); ++bi) {
-        const auto& signature = built[bi].signature;
-        const auto& source = sliced[built[bi].sliced_index];
+    index_by_key.reserve(sliced.size());
+    for (std::size_t bi = 0; bi < sliced.size(); ++bi) {
+        const auto& signature = signatures[bi];
+        const auto& source = sliced[bi];
         std::string uri_regex = signature.uri.to_regex();
         std::string body_regex = signature.has_body ? signature.body.to_regex() : "";
         std::string response_regex =

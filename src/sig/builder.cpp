@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -127,17 +128,18 @@ private:
     // ------------------------------------------------------------ helpers --
 
     bool in_slice(const StmtRef& ref) const {
-        return !request_->slice || request_->slice->count(ref) > 0;
+        return !request_->slice ||
+               std::binary_search(request_->slice->begin(), request_->slice->end(), ref);
     }
 
     /// The methods holding a slice statement and every transitive caller of
     /// them: one reverse BFS, sized by the slice's callers.
     std::unordered_set<std::uint32_t> slice_callers() const {
-        const std::set<StmtRef>& slice = *request_->slice;
+        const std::vector<StmtRef>& slice = *request_->slice;
         std::unordered_set<std::uint32_t> seen;
         std::vector<std::uint32_t> stack;
         for (auto it = slice.begin(); it != slice.end();
-             it = slice.lower_bound(StmtRef{it->method_index + 1, 0, 0})) {
+             it = std::lower_bound(it, slice.end(), StmtRef{it->method_index + 1, 0, 0})) {
             seen.insert(it->method_index);
             stack.push_back(it->method_index);
         }

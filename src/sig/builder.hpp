@@ -14,11 +14,11 @@
 // (§3.1's async heuristic). A build's cost follows its slice: the handlers
 // are resolved once per builder, the producers are found by one reverse
 // BFS over the slice methods' callers, and no per-build state is sized by
-// the program.
+// the program. The slice is read in place: membership is a binary search
+// in the sorted vector the slicer built.
 #pragma once
 
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -58,9 +58,9 @@ struct BuildRequest {
     /// Calling context: chain of call edges from an event-handler root to the
     /// method containing the DP (empty when the DP sits in the root itself).
     std::vector<xir::CallEdge> context;
-    /// Statements the interpreter may execute (the union of the transaction's
-    /// request/response slices plus augmentation). Null = interpret all.
-    const std::set<xir::StmtRef>* slice = nullptr;
+    /// Statements the interpreter may execute: the transaction's combined
+    /// slice, sorted and duplicate-free. Null = interpret all.
+    const std::vector<xir::StmtRef>* slice = nullptr;
     /// Cap on executed statements (0 = unlimited). When hit, the build stops
     /// early and residual unknown leaves are tagged kBudgetExhausted.
     std::size_t max_steps = 0;

@@ -1,6 +1,7 @@
 #include "slicing/slicer.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -79,8 +80,6 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
 
     // Request/response slices are computed once per DP site (taint is
     // context-insensitive); contexts split the site into transactions.
-    std::set<StmtRef> request_slice;
-    std::set<StmtRef> response_slice;
     taint::TaintResult request_taint;
     taint::TaintResult response_taint;
 
@@ -124,7 +123,6 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
     }
     if (!request_seeds.empty()) {
         request_taint = engine_->run(Direction::kBackward, request_seeds);
-        request_slice = request_taint.statements;
         steps += request_taint.steps_used;
     }
 
@@ -157,26 +155,30 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
     }
     if (!response_seeds.empty()) {
         response_taint = engine_->run(Direction::kForward, response_seeds);
-        response_slice = response_taint.statements;
         steps += response_taint.steps_used;
     }
 
-    std::set<StmtRef> augmentation = augment(response_slice, steps);
+    std::vector<StmtRef> combined = augment(response_taint.statements, steps);
     if (steps_used) *steps_used = steps;
+    combined.insert(combined.end(), request_taint.statements.begin(),
+                    request_taint.statements.end());
+    combined.insert(combined.end(), response_taint.statements.begin(),
+                    response_taint.statements.end());
+    combined.push_back(site);
+    std::sort(combined.begin(), combined.end());
+    combined.erase(std::unique(combined.begin(), combined.end()), combined.end());
 
-    for (auto& context : contexts) {
+    // Contexts and sites are nearly 1:1, so each context owns its slices:
+    // the last one takes the site's by move, any earlier one copies them.
+    for (std::size_t c = 0; c < contexts.size(); ++c) {
+        const bool last = c + 1 == contexts.size();
         SlicedTransaction txn;
         txn.dp_site = site;
         txn.dp = dp;
-        txn.context = std::move(context);
-        txn.request_slice = request_slice;
-        txn.response_slice = response_slice;
-        txn.combined_slice = request_slice;
-        txn.combined_slice.insert(response_slice.begin(), response_slice.end());
-        txn.combined_slice.insert(augmentation.begin(), augmentation.end());
-        txn.combined_slice.insert(site);
-        txn.request_taint = request_taint;
-        txn.response_taint = response_taint;
+        txn.context = std::move(contexts[c]);
+        txn.combined_slice = last ? std::move(combined) : combined;
+        txn.request_taint = last ? std::move(request_taint) : request_taint;
+        txn.response_taint = last ? std::move(response_taint) : response_taint;
         resolve_trigger(txn);
         out.push_back(std::move(txn));
     }
@@ -197,28 +199,26 @@ void Slicer::resolve_trigger(SlicedTransaction& txn) const {
     txn.trigger = "unknown:" + method.ref().qualified();
 }
 
-std::set<StmtRef> Slicer::augment(const std::set<StmtRef>& response_slice,
-                                  std::size_t& steps_used) {
+std::vector<StmtRef> Slicer::augment(const std::vector<StmtRef>& response_slice,
+                                     std::size_t& steps_used) {
     // Object-aware slice augmentation (§3.1): for every local a response-
-    // slice statement *uses* without an in-slice definition in the same
-    // method, pull in the statements that construct it via backward taint.
+    // slice statement *uses* without an in-slice definition earlier in the
+    // same method, pull in the statements that construct it via backward
+    // taint. The slice is sorted, so those earlier definitions are the run
+    // from the method's first slice statement up to the use.
     std::vector<TaintSeed> seeds;
     std::set<std::pair<std::uint32_t, LocalId>> seen;
-    for (const StmtRef& ref : response_slice) {
-        const Statement& stmt = program_->statement(ref);
-        for_each_use(stmt, [&](LocalId use) {
+    auto method_begin = response_slice.begin();
+    for (auto it = response_slice.begin(); it != response_slice.end(); ++it) {
+        const StmtRef& ref = *it;
+        if (ref.method_index != method_begin->method_index) method_begin = it;
+        for_each_use(program_->statement(ref), [&](LocalId use) {
             if (!seen.insert({ref.method_index, use}).second) return;
-            bool defined_in_slice = false;
-            for (const StmtRef& other : response_slice) {
-                if (other.method_index != ref.method_index) continue;
-                auto def = def_of(program_->statement(other));
-                if (def && *def == use &&
-                    (other.block < ref.block ||
-                     (other.block == ref.block && other.index < ref.index))) {
-                    defined_in_slice = true;
-                    break;
-                }
-            }
+            bool defined_in_slice =
+                std::any_of(method_begin, it, [&](const StmtRef& other) {
+                    auto def = def_of(program_->statement(other));
+                    return def && *def == use;
+                });
             if (!defined_in_slice) {
                 seeds.push_back({ref, AccessPath::of_local(use)});
             }
@@ -233,14 +233,18 @@ std::set<StmtRef> Slicer::augment(const std::set<StmtRef>& response_slice,
 
 double Slicer::slice_fraction(const Program& program,
                               const std::vector<SlicedTransaction>& txns) {
-    std::set<StmtRef> all;
+    std::vector<StmtRef> all;
     for (const auto& txn : txns) {
-        all.insert(txn.request_slice.begin(), txn.request_slice.end());
-        all.insert(txn.response_slice.begin(), txn.response_slice.end());
+        const auto& request = txn.request_taint.statements;
+        const auto& response = txn.response_taint.statements;
+        all.insert(all.end(), request.begin(), request.end());
+        all.insert(all.end(), response.begin(), response.end());
     }
+    std::sort(all.begin(), all.end());
+    auto distinct = std::unique(all.begin(), all.end()) - all.begin();
     std::size_t total = program.total_statements();
     if (total == 0) return 0;
-    return static_cast<double>(all.size()) / static_cast<double>(total);
+    return static_cast<double>(distinct) / static_cast<double>(total);
 }
 
 }  // namespace extractocol::slicing

@@ -3,10 +3,12 @@
 // disjoint sub-slices, Fig. 5), and computes request/response slices via
 // bidirectional taint propagation, with object-aware augmentation and the
 // async-event heuristic.
+// A slice is a sorted, duplicate-free statement vector, stored once
+// (DESIGN.md §13): request/response slices are the taint results'
+// `statements`; the combined slice is built once per DP site.
 #pragma once
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,14 +29,12 @@ struct SlicedTransaction {
     std::string trigger;
     xir::EventKind trigger_kind = xir::EventKind::kOnClick;
 
-    std::set<xir::StmtRef> request_slice;
-    std::set<xir::StmtRef> response_slice;
-    /// request ∪ response ∪ object-aware augmentation; what the signature
-    /// builder interprets.
-    std::set<xir::StmtRef> combined_slice;
+    /// request ∪ response ∪ object-aware augmentation ∪ {dp_site}, sorted
+    /// and duplicate-free; what the signature builder interprets.
+    std::vector<xir::StmtRef> combined_slice;
 
-    /// Taint results kept for dependency analysis (globals reached, call
-    /// events observed).
+    /// The request (backward) and response (forward) taint runs: their
+    /// `statements` are the two slices; txn reads their globals and events.
     taint::TaintResult request_taint;
     taint::TaintResult response_taint;
 };
@@ -82,8 +82,8 @@ public:
 
 private:
     void resolve_trigger(SlicedTransaction& txn) const;
-    std::set<xir::StmtRef> augment(const std::set<xir::StmtRef>& response_slice,
-                                   std::size_t& steps_used);
+    std::vector<xir::StmtRef> augment(const std::vector<xir::StmtRef>& response_slice,
+                                      std::size_t& steps_used);
 
     const xir::Program* program_;
     const semantics::SemanticModel* model_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -193,7 +194,6 @@ struct TaintEngine::MethodState {
     std::set<std::pair<std::uint32_t, BlockId>> summary_subscribers;
     DenseBitset queued;  // worklist membership, over the method's blocks
     DenseBitset slice;   // slice statements, over the method's statements
-    bool in_slice = false;         // the method belongs to TaintResult::methods
     std::uint64_t iterations = 0;  // worklist steps, for --profile
 };
 
@@ -312,7 +312,6 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
     auto note_stmt = [&](const StmtRef& ref) {
         MethodState& state = state_of(ref.method_index);
         state.slice.set(flat_stmt(ref) - stmt_base_[block_base_[ref.method_index]]);
-        state.in_slice = true;
     };
 
     for (const auto& seed : seeds) {
@@ -324,7 +323,6 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
             note_stmt(seed.stmt);
         }
         enqueue(seed.stmt.method_index, seed.stmt.block);
-        state.in_slice = true;
     }
 
     // ---- shared helpers bound to this run ----
@@ -1307,20 +1305,17 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         }
     }
 
-    // Materialize the per-method slices into the ordered result sets: states
-    // ascend by method and each slice bitset by (block, index), so hinted
-    // inserts are O(1).
+    // Materialize the per-method slices into the sorted result vector:
+    // states ascend by method and each slice bitset by (block, index).
     const bool profiling = obs::Profiler::global().enabled();
     std::uint64_t total_iterations = 0;
     for (const auto& [mi, state] : run.states) {
-        if (state.in_slice) run.result.methods.insert(run.result.methods.end(), mi);
         const std::uint32_t first = block_base_[mi];
         BlockId b = 0;
         state.slice.for_each([&](std::size_t local) {
             const std::size_t si = stmt_base_[first] + local;
             while (stmt_base_[first + b + 1] <= si) ++b;
-            run.result.statements.insert(
-                run.result.statements.end(),
+            run.result.statements.push_back(
                 StmtRef{mi, b, static_cast<std::uint32_t>(si - stmt_base_[first + b])});
         });
         // --profile attribution: run.steps only counts when a step cap is

@@ -25,11 +25,12 @@
 // predecessor lists, event-root reachability, global-channel accessors)
 // are built once per engine; a run creates a method's state — fact sets,
 // summaries, queued-block and slice-statement bitsets — the first time a
-// seed, call edge, return, caller injection or global reader reaches it.
+// seed, call edge, return, caller injection or global reader reaches it,
+// and emits its slice as one sorted statement vector.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -79,13 +80,12 @@ struct CallTaintEvent {
 };
 
 struct TaintResult {
-    /// Statements that operate on tainted data — the program slice.
-    std::set<xir::StmtRef> statements;
+    /// Statements that operate on tainted data — the program slice, sorted
+    /// and duplicate-free (DESIGN.md §13, "One slice, stored once").
+    std::vector<xir::StmtRef> statements;
     /// Tainted global locations (statics / db cells / prefs keys).
     PathSet globals;
-    /// Methods containing at least one slice statement.
-    std::set<std::uint32_t> methods;
-    /// Tainted-call observations, in discovery order (deduplicated).
+    /// Tainted-call observations: one per statement, ascending by `stmt`.
     std::vector<CallTaintEvent> call_events;
     /// Worklist iterations this run consumed — deterministic for a given
     /// program + seeds, the currency of analysis budgets.
@@ -94,7 +94,7 @@ struct TaintResult {
     bool truncated = false;
 
     [[nodiscard]] bool contains(const xir::StmtRef& ref) const {
-        return statements.count(ref) > 0;
+        return std::binary_search(statements.begin(), statements.end(), ref);
     }
 };
 

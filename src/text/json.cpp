@@ -115,7 +115,7 @@ public:
 
     Result<Json> parse() {
         skip_ws();
-        auto value = parse_value();
+        auto value = parse_value(0);
         if (!value.ok()) return value;
         skip_ws();
         if (pos_ != input_.size()) return fail("trailing characters after document");
@@ -157,12 +157,16 @@ private:
         return false;
     }
 
-    Result<Json> parse_value() {
+    /// `depth`: the arrays/objects enclosing this value.
+    Result<Json> parse_value(std::size_t depth) {
         if (at_end()) return fail("unexpected end of input");
         char c = peek();
+        if ((c == '{' || c == '[') && depth == kMaxJsonDepth) {
+            return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{': return parse_object(depth + 1);
+            case '[': return parse_array(depth + 1);
             case '"': {
                 auto s = parse_string();
                 if (!s.ok()) return s.error();
@@ -181,7 +185,7 @@ private:
         }
     }
 
-    Result<Json> parse_object() {
+    Result<Json> parse_object(std::size_t depth) {
         ++pos_;  // '{'
         Json obj = Json::object();
         skip_ws();
@@ -194,7 +198,7 @@ private:
             skip_ws();
             if (!consume(':')) return fail("expected ':'");
             skip_ws();
-            auto value = parse_value();
+            auto value = parse_value(depth);
             if (!value.ok()) return value;
             obj.members().emplace_back(std::move(key).take(), std::move(value).take());
             skip_ws();
@@ -204,14 +208,14 @@ private:
         }
     }
 
-    Result<Json> parse_array() {
+    Result<Json> parse_array(std::size_t depth) {
         ++pos_;  // '['
         Json arr = Json::array();
         skip_ws();
         if (consume(']')) return arr;
         while (true) {
             skip_ws();
-            auto value = parse_value();
+            auto value = parse_value(depth);
             if (!value.ok()) return value;
             arr.push_back(std::move(value).take());
             skip_ws();

@@ -88,7 +88,14 @@ private:
         value_;
 };
 
-/// Parses a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting parse_json accepts. Real documents stay far
+/// below it (corpus reports and cache entries nest under 20 levels); it
+/// bounds the parser's recursion, so hostile input gets an error instead of
+/// a stack overflow.
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
+/// Parses a complete JSON document. Trailing non-whitespace, or nesting
+/// deeper than kMaxJsonDepth, is an error.
 Result<Json> parse_json(std::string_view input);
 
 /// Escapes a string for inclusion inside JSON quotes (no surrounding quotes).

@@ -82,7 +82,7 @@ public:
 
     Result<XmlElementPtr> parse() {
         skip_misc();
-        auto root = parse_element();
+        auto root = parse_element(1);
         if (!root.ok()) return root;
         skip_misc();
         if (pos_ != input_.size()) return fail("trailing content after root element");
@@ -156,8 +156,12 @@ private:
         return out;
     }
 
-    Result<XmlElementPtr> parse_element() {
+    /// `depth`: this element's nesting level (the root is 1).
+    Result<XmlElementPtr> parse_element(std::size_t depth) {
         if (at_end() || peek() != '<') return fail("expected '<'");
+        if (depth > kMaxXmlDepth) {
+            return fail("nesting deeper than " + std::to_string(kMaxXmlDepth) + " levels");
+        }
         ++pos_;
         auto element = std::make_unique<XmlElement>();
         element->name = parse_name();
@@ -214,7 +218,7 @@ private:
                     ++pos_;
                     return element;
                 }
-                auto child = parse_element();
+                auto child = parse_element(depth + 1);
                 if (!child.ok()) return child;
                 element->children.push_back(std::move(child).take());
             } else {

@@ -36,8 +36,12 @@ struct XmlElement {
     [[nodiscard]] XmlElementPtr clone() const;
 };
 
+/// Deepest element nesting parse_xml accepts; it bounds the parser's
+/// recursion, so hostile input gets an error instead of a stack overflow.
+inline constexpr std::size_t kMaxXmlDepth = 512;
+
 /// Parses one XML document (a single root element; leading <?xml?> prolog and
-/// comments are skipped).
+/// comments are skipped). Nesting deeper than kMaxXmlDepth is an error.
 Result<XmlElementPtr> parse_xml(std::string_view input);
 
 std::string xml_escape(std::string_view s);

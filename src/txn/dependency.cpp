@@ -1,7 +1,6 @@
 #include "txn/dependency.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,11 +94,11 @@ const std::string* DependencyAnalyzer::element_tag_of(std::uint32_t method_index
 
 std::vector<DependencyAnalyzer::FieldTap> DependencyAnalyzer::response_taps(
     const SlicedTransaction& txn) const {
+    // call_events has one event per statement, so each getter taps once.
     std::vector<FieldTap> taps;
-    std::set<StmtRef> seen;
     for (const CallTaintEvent& event : txn.response_taint.call_events) {
         if (!event.base_tainted) continue;
-        if (txn.response_slice.count(event.stmt) == 0) continue;
+        if (!txn.response_taint.contains(event.stmt)) continue;
         const auto* call = std::get_if<Invoke>(&program_->statement(event.stmt));
         if (!call || !call->dst) continue;
         const ApiModel* api = model_->api(call->callee.class_name, call->callee.method_name);
@@ -132,9 +131,7 @@ std::vector<DependencyAnalyzer::FieldTap> DependencyAnalyzer::response_taps(
             }
             default: continue;
         }
-        if (seen.insert(event.stmt).second) {
-            taps.push_back({event.stmt, *call->dst, std::move(field)});
-        }
+        taps.push_back({event.stmt, *call->dst, std::move(field)});
     }
     // Whole-body tap: the response object itself may feed a later request
     // (e.g. a body string stored verbatim).
@@ -158,7 +155,7 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
 
     for (std::size_t i = 0; i < txns.size(); ++i) {
         const SlicedTransaction& resp_txn = txns[i];
-        if (resp_txn.response_slice.empty()) continue;
+        if (resp_txn.response_taint.statements.empty()) continue;
         for (const FieldTap& tap : response_taps(resp_txn)) {
             taps_probed.add(1);
             TaintSeed seed;
@@ -201,7 +198,7 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
                 };
                 for (const CallTaintEvent& event : flow.call_events) {
                     bool at_dp = event.stmt == req_txn.dp_site;
-                    bool in_request = req_txn.request_slice.count(event.stmt) > 0;
+                    bool in_request = req_txn.request_taint.contains(event.stmt);
                     if (!at_dp && !in_request) continue;
                     const auto* call =
                         std::get_if<Invoke>(&program_->statement(event.stmt));

@@ -1,12 +1,17 @@
 // Corpus-wide property suites: invariants that must hold for every app in
 // the corpus — container round-trips, obfuscation invariance of the
-// analysis, report self-consistency, and JSON round-trips over generated
-// documents.
+// analysis, report self-consistency, slice invariants, and JSON round-trips
+// over generated documents.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <map>
 
 #include "core/analyzer.hpp"
 #include "corpus/corpus.hpp"
 #include "interp/interpreter.hpp"
+#include "slicing/slicer.hpp"
 #include "support/hash.hpp"
 #include "xapk/obfuscate.hpp"
 #include "text/regex.hpp"
@@ -89,6 +94,53 @@ TEST_P(CorpusProperty, ReportSelfConsistency) {
     EXPECT_LE(report.pair_count(), report.transactions.size());
     // Slices are a strict subset of the program.
     EXPECT_LT(report.stats.slice_statements, report.stats.total_statements);
+}
+
+// Property: a slice is one sorted, duplicate-free statement vector. The
+// combined slice covers both taint slices and the DP site, every context of
+// a site carries the site's slices, and the report's slice-statement stat
+// counts the distinct statements of the combined slices.
+TEST_P(CorpusProperty, SliceInvariants) {
+    corpus::CorpusApp app = corpus::build_app(GetParam());
+    core::AnalyzerOptions options;
+    options.async_heuristic = !app.spec.open_source;
+    core::Analyzer analyzer(options);
+    slicing::SlicerOptions slicer_options;
+    slicer_options.async_heuristic = options.async_heuristic;
+    slicing::Slicer slicer(app.program, analyzer.model(), slicer_options);
+    auto txns = slicer.slice_all();
+    ASSERT_FALSE(txns.empty());
+
+    auto strictly_ascending = [](const std::vector<xir::StmtRef>& slice) {
+        return std::adjacent_find(slice.begin(), slice.end(),
+                                  std::greater_equal<>()) == slice.end();
+    };
+    std::map<xir::StmtRef, const slicing::SlicedTransaction*> first_of_site;
+    std::vector<xir::StmtRef> all;
+    for (const auto& t : txns) {
+        const auto& request = t.request_taint.statements;
+        const auto& response = t.response_taint.statements;
+        const auto& combined = t.combined_slice;
+        EXPECT_TRUE(strictly_ascending(request));
+        EXPECT_TRUE(strictly_ascending(response));
+        EXPECT_TRUE(strictly_ascending(combined));
+        EXPECT_TRUE(std::includes(combined.begin(), combined.end(), request.begin(),
+                                  request.end()));
+        EXPECT_TRUE(std::includes(combined.begin(), combined.end(), response.begin(),
+                                  response.end()));
+        EXPECT_TRUE(std::binary_search(combined.begin(), combined.end(), t.dp_site));
+        auto [first, inserted] = first_of_site.emplace(t.dp_site, &t);
+        if (!inserted) {
+            EXPECT_EQ(first->second->request_taint.statements, request);
+            EXPECT_EQ(first->second->response_taint.statements, response);
+            EXPECT_EQ(first->second->combined_slice, combined);
+        }
+        all.insert(all.end(), combined.begin(), combined.end());
+    }
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    core::AnalysisReport report = analyzer.analyze(app.program);
+    EXPECT_EQ(report.stats.slice_statements, all.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, CorpusProperty, ::testing::ValuesIn(all_apps()),

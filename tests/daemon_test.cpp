@@ -10,10 +10,13 @@
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -60,7 +63,95 @@ std::vector<Json> read_journal(const fs::path& path) {
 
 bool ok_of(const Json& response) { return extractocol::testing::response_ok(response); }
 
+bool write_bytes(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) return false;
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+/// Reads `count` response lines, in arrival order (null Json for a line
+/// that does not parse; fewer lines when the daemon closes first).
+std::vector<Json> read_responses(int fd, std::size_t count) {
+    std::vector<Json> out;
+    std::string buffer;
+    char chunk[4096];
+    while (out.size() < count) {
+        std::size_t newline = buffer.find('\n');
+        if (newline != std::string::npos) {
+            auto parsed = text::parse_json(std::string_view(buffer).substr(0, newline));
+            out.push_back(parsed.ok() ? parsed.value() : Json());
+            buffer.erase(0, newline + 1);
+            continue;
+        }
+        ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        buffer.append(chunk, static_cast<std::size_t>(n));
+    }
+    return out;
+}
+
+std::int64_t id_of(const Json& response) {
+    const Json* id = response.is_object() ? response.find("id") : nullptr;
+    return id != nullptr && id->is_int() ? id->as_int() : -1;
+}
+
 }  // namespace
+
+TEST(DaemonTest, HostileNestingGetsAnErrorAndTheDaemonLives) {
+    TempDir dir("nesting");
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    Json rejected = DaemonFixture::request(fd, std::string(1'000'000, '['));
+    ASSERT_TRUE(rejected.is_object());
+    EXPECT_FALSE(ok_of(rejected));
+    EXPECT_NE(rejected.find("error")->as_string().find("nesting"), std::string::npos);
+    // Same connection, same daemon: it still answers.
+    EXPECT_TRUE(ok_of(DaemonFixture::request(fd, R"({"op":"ping"})")));
+    ::close(fd);
+    fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(ok_of(DaemonFixture::request(fd, R"({"op":"ping"})")));
+    ::close(fd);
+}
+
+TEST(DaemonTest, PipelinedAndByteSplitRequestsAreAnsweredInOrder) {
+    TempDir dir("framing");
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    // Three requests in one write.
+    ASSERT_TRUE(write_bytes(fd, "{\"id\":1,\"op\":\"ping\"}\n"
+                                "{\"id\":2,\"op\":\"health\"}\n"
+                                "{\"id\":3,\"op\":\"ping\"}\n"));
+    std::vector<Json> pipelined = read_responses(fd, 3);
+    ASSERT_EQ(pipelined.size(), 3u);
+    for (std::size_t i = 0; i < pipelined.size(); ++i) {
+        EXPECT_TRUE(ok_of(pipelined[i]));
+        EXPECT_EQ(id_of(pipelined[i]), static_cast<std::int64_t>(i + 1));
+    }
+    // One request, one byte per write, then two more whose bytes share
+    // writes with each other.
+    for (char byte : std::string("{\"id\":4,\"op\":\"ping\"}\n")) {
+        ASSERT_TRUE(write_bytes(fd, std::string_view(&byte, 1)));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(write_bytes(fd, "{\"id\":5,\"op\":\"pi"));
+    ASSERT_TRUE(write_bytes(fd, "ng\"}\n{\"id\":6,\"op\":\"health\"}"));
+    ASSERT_TRUE(write_bytes(fd, "\n"));
+    std::vector<Json> split = read_responses(fd, 3);
+    ASSERT_EQ(split.size(), 3u);
+    for (std::size_t i = 0; i < split.size(); ++i) {
+        EXPECT_TRUE(ok_of(split[i]));
+        EXPECT_EQ(id_of(split[i]), static_cast<std::int64_t>(i + 4));
+    }
+    ::close(fd);
+}
 
 TEST(DaemonTest, PingEchoesVersionAndPid) {
     TempDir dir("ping");

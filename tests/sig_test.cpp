@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sig/builder.hpp"
 #include "sig/sig.hpp"
 #include "sig/value.hpp"
@@ -436,29 +438,31 @@ struct ProducerFixture {
     }
 
     /// Every statement of `cls.method`.
-    void add_method(std::set<xir::StmtRef>& slice, const std::string& cls,
+    void add_method(std::vector<xir::StmtRef>& slice, const std::string& cls,
                     const std::string& method) const {
         std::uint32_t mi = *program.method_index({cls, method});
         const auto& blocks = program.method_at(mi).blocks;
         for (xir::BlockId b = 0; b < blocks.size(); ++b) {
             for (std::uint32_t i = 0; i < blocks[b].statements.size(); ++i) {
-                slice.insert({mi, b, i});
+                slice.push_back({mi, b, i});
             }
         }
     }
 
     /// The transaction's slice: all of onClick, plus the call chain that
-    /// carries control from onCreate down to the host store.
-    [[nodiscard]] std::set<xir::StmtRef> slice() const {
-        std::set<xir::StmtRef> slice;
+    /// carries control from onCreate down to the host store; sorted, as
+    /// BuildRequest::slice requires.
+    [[nodiscard]] std::vector<xir::StmtRef> slice() const {
+        std::vector<xir::StmtRef> slice;
         add_method(slice, "com.t.Main", "onClick");
         add_method(slice, "com.t.Main", "onCreate");
         add_method(slice, "com.t.Net", "init");
         add_method(slice, "com.t.Net", "setHost");
+        std::sort(slice.begin(), slice.end());
         return slice;
     }
 
-    std::optional<TransactionSignature> build(const std::set<xir::StmtRef>* slice,
+    std::optional<TransactionSignature> build(const std::vector<xir::StmtRef>* slice,
                                               BuildStats* stats = nullptr) const {
         xir::CallGraph callgraph(program, model.callback_resolver());
         SignatureBuilder builder(program, callgraph, model);
@@ -485,7 +489,8 @@ TEST(ProducerPrePass, HandlerTwoCallsFromTheSliceIsInterpreted) {
     BuildStats without;
     ASSERT_TRUE(f.build(&slice, &without).has_value());
     std::uint32_t b = *f.program.method_index({"com.t.Helper", "b"});
-    slice.insert({b, 0, 0});
+    const xir::StmtRef first_of_b{b, 0, 0};
+    slice.insert(std::lower_bound(slice.begin(), slice.end(), first_of_b), first_of_b);
     BuildStats with;
     ASSERT_TRUE(f.build(&slice, &with).has_value());
     EXPECT_EQ(with.steps, without.steps + 2);

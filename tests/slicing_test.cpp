@@ -2,6 +2,9 @@
 // object-aware augmentation, calling contexts, and the async heuristic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/metrics.hpp"
 #include "slicing/slicer.hpp"
 #include "xir/builder.hpp"
 
@@ -43,6 +46,35 @@ Program two_dp_program() {
     return pb.build();
 }
 
+template <typename Slice>
+bool has(const Slice& slice, const StmtRef& ref) {
+    return std::find(slice.begin(), slice.end(), ref) != slice.end();
+}
+
+/// Slices `p`, which must hold exactly one transaction, and returns it with
+/// the number of object-aware augmentation seeds the slice planted.
+std::pair<SlicedTransaction, std::uint64_t> slice_single(const Program& p) {
+    auto model = semantics::SemanticModel::standard();
+    Slicer slicer(p, model);
+    obs::Counter& seeds = obs::counter("slicer.augment_seeds");
+    const std::uint64_t before = seeds.value();
+    auto txns = slicer.slice_all();
+    EXPECT_EQ(txns.size(), 1u);
+    return {std::move(txns.at(0)), seeds.value() - before};
+}
+
+/// `r = c.execute(req)` on a fresh request for `url`, into the current
+/// block. Its own operands (c, req) have no response-slice definition, so
+/// they are the two augmentation seeds every fixture below starts with.
+void emit_execute(MethodBuilder& mb, LocalId resp, LocalId url) {
+    mb.assign(url, cs("http://h/x"));
+    LocalId req = mb.local("req", "org.apache.http.client.methods.HttpGet");
+    mb.new_object(req, "org.apache.http.client.methods.HttpGet");
+    mb.special(req, "org.apache.http.client.methods.HttpGet.<init>", {Operand(url)});
+    LocalId client = mb.local("c", "org.apache.http.client.HttpClient");
+    mb.vcall(resp, client, "org.apache.http.client.HttpClient.execute", {Operand(req)});
+}
+
 }  // namespace
 
 TEST(Slicer, FindsAllDemarcationSites) {
@@ -63,11 +95,13 @@ TEST(Slicer, RequestSliceExcludesResponseCode) {
         if (t.trigger == "click:fetch") fetch = &t;
     }
     ASSERT_NE(fetch, nullptr);
-    EXPECT_FALSE(fetch->request_slice.empty());
-    EXPECT_FALSE(fetch->response_slice.empty());
+    const auto& request = fetch->request_taint.statements;
+    const auto& response = fetch->response_taint.statements;
+    EXPECT_FALSE(request.empty());
+    EXPECT_FALSE(response.empty());
     // Request slice must contain the url constant; response slice must
     // contain the getEntity call; they must not be identical.
-    EXPECT_NE(fetch->request_slice, fetch->response_slice);
+    EXPECT_NE(request, response);
 }
 
 TEST(Slicer, MediaPlayerDpHasRequestOnly) {
@@ -80,8 +114,8 @@ TEST(Slicer, MediaPlayerDpHasRequestOnly) {
         if (t.trigger == "click:play") play = &t;
     }
     ASSERT_NE(play, nullptr);
-    EXPECT_FALSE(play->request_slice.empty());
-    EXPECT_TRUE(play->response_slice.empty());
+    EXPECT_FALSE(play->request_taint.statements.empty());
+    EXPECT_TRUE(play->response_taint.statements.empty());
 }
 
 TEST(Slicer, TriggerResolution) {
@@ -170,7 +204,7 @@ TEST(Slicer, AsyncHeuristicGatesCrossEventContent) {
         EXPECT_EQ(txns.size(), 1u);
         auto loc_index = p.method_index({"com.s.A", "onLocation"});
         std::size_t n = 0;
-        for (const auto& ref : txns[0].request_slice) {
+        for (const auto& ref : txns[0].request_taint.statements) {
             if (ref.method_index == *loc_index) ++n;
         }
         return n;
@@ -224,6 +258,130 @@ TEST(Slicer, AugmentationPullsInitializationContext) {
     // The prefix assignment (stmt 0) is not response-derived, so the raw
     // response slice misses it; the combined slice must include it.
     StmtRef prefix_assign{*p.method_index({"com.s.G", "go"}), 0, 0};
-    EXPECT_EQ(txns[0].response_slice.count(prefix_assign), 0u);
-    EXPECT_EQ(txns[0].combined_slice.count(prefix_assign), 1u);
+    EXPECT_FALSE(has(txns[0].response_taint.statements, prefix_assign));
+    EXPECT_TRUE(has(txns[0].combined_slice, prefix_assign));
+}
+
+TEST(Slicer, AugmentationSkipsUseDefinedEarlierInSlice) {
+    // `e` is defined in the response slice (getEntity, block 1) before
+    // toString uses it (block 3), so that use is not seeded. The predicate
+    // is positional: the stale `e = null` still reaches the use along the
+    // else branch, and stays out of the combined slice.
+    ProgramBuilder pb("aug_earlier");
+    auto mb = pb.add_class("com.s.G").method("go");
+    LocalId flag = mb.param("f", "int");
+    LocalId url = mb.local("u", "java.lang.String");
+    LocalId resp = mb.local("r", "org.apache.http.HttpResponse");
+    emit_execute(mb, resp, url);  // block 0, statements 0-3
+    LocalId entity = mb.local("e", "org.apache.http.HttpEntity");
+    mb.assign(entity, cnull());   // block 0, statement 4
+    mb.if_then(eq(Operand(flag), ci(0)), [&](MethodBuilder& m) {
+        m.vcall(entity, resp, "org.apache.http.HttpResponse.getEntity");
+    });
+    LocalId body = mb.local("b", "java.lang.String");
+    mb.scall(body, "org.apache.http.util.EntityUtils.toString", {Operand(entity)});
+    mb.store_static("com.s.G", "sBody", Operand(body));
+    mb.ret();
+    pb.register_event({"com.s.G", "go"}, EventKind::kOnClick, "click");
+    Program p = pb.build();
+
+    auto [txn, seeds] = slice_single(p);
+    const std::uint32_t go = *p.method_index({"com.s.G", "go"});
+    const StmtRef stale{go, 0, 4};
+    const StmtRef to_string{go, 3, 0};
+    ASSERT_TRUE(std::holds_alternative<AssignConst>(p.statement(stale)));
+    EXPECT_TRUE(has(txn.response_taint.statements, to_string));
+    EXPECT_FALSE(has(txn.combined_slice, stale));
+    EXPECT_EQ(seeds, 2u);
+}
+
+TEST(Slicer, AugmentationSeedsUseDefinedOnlyLaterInMethod) {
+    // In the loop body `k = p ++ b` precedes `p = k`: p's only response-
+    // slice definition comes later (it reaches the use over the back edge),
+    // so the use is seeded and pulls in the loop-entry value `p = "init"`.
+    ProgramBuilder pb("aug_loop");
+    auto mb = pb.add_class("com.s.L").method("go");
+    LocalId n = mb.param("n", "int");
+    LocalId url = mb.local("u", "java.lang.String");
+    LocalId resp = mb.local("r", "org.apache.http.HttpResponse");
+    emit_execute(mb, resp, url);  // block 0, statements 0-3
+    LocalId entity = mb.local("e", "org.apache.http.HttpEntity");
+    mb.vcall(entity, resp, "org.apache.http.HttpResponse.getEntity");
+    LocalId body = mb.local("b", "java.lang.String");
+    mb.scall(body, "org.apache.http.util.EntityUtils.toString", {Operand(entity)});
+    LocalId acc = mb.local("p", "java.lang.String");
+    mb.assign(acc, cs("init"));   // block 0, statement 6
+    LocalId keyed = mb.local("k", "java.lang.String");
+    mb.while_loop(lt(Operand(n), ci(3)), [&](MethodBuilder& m) {
+        m.binop(keyed, BinaryOp::Op::kConcat, Operand(acc), Operand(body));
+        m.assign(acc, Operand(keyed));
+    });
+    mb.store_static("com.s.L", "sAcc", Operand(acc));
+    mb.ret();
+    pb.register_event({"com.s.L", "go"}, EventKind::kOnClick, "click");
+    Program p = pb.build();
+
+    auto [txn, seeds] = slice_single(p);
+    const std::uint32_t go = *p.method_index({"com.s.L", "go"});
+    const StmtRef init{go, 0, 6};
+    const StmtRef concat{go, 2, 0};  // the loop body (header is block 1)
+    ASSERT_TRUE(std::holds_alternative<AssignConst>(p.statement(init)));
+    ASSERT_TRUE(std::holds_alternative<BinaryOp>(p.statement(concat)));
+    EXPECT_TRUE(has(txn.response_taint.statements, concat));
+    EXPECT_FALSE(has(txn.response_taint.statements, init));
+    EXPECT_TRUE(has(txn.combined_slice, init));
+    EXPECT_EQ(seeds, 3u);
+}
+
+TEST(Slicer, AugmentationSeedsUseDefinedOnlyInAnotherMethod) {
+    // `use(s)` reads its parameter s (local 0) at statement 4. Local 0 of
+    // go is the response `r`, defined in the slice at go's statement 3 —
+    // earlier by position, but in another method, so the use is seeded.
+    // The backward run from it reaches every caller of `use`, and with it
+    // the value `other` passes, which no slice of the DP touches.
+    ProgramBuilder pb("aug_other");
+    auto cls = pb.add_class("com.s.M");
+    {
+        auto mb = cls.method("go").set_static();
+        LocalId resp = mb.local("r", "org.apache.http.HttpResponse");  // local 0
+        LocalId entity = mb.local("e", "org.apache.http.HttpEntity");
+        LocalId url = mb.local("u", "java.lang.String");
+        emit_execute(mb, resp, url);  // statements 0-3
+        mb.vcall(entity, resp, "org.apache.http.HttpResponse.getEntity");
+        LocalId body = mb.local("b", "java.lang.String");
+        mb.scall(body, "org.apache.http.util.EntityUtils.toString", {Operand(entity)});
+        mb.scall(std::nullopt, "com.s.M.use", {Operand(body)});
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("use").set_static();
+        LocalId s = mb.param("s", "java.lang.String");  // local 0
+        for (const char* pad : {"p0", "p1", "p2", "p3"}) {
+            mb.assign(mb.local(pad, "java.lang.String"), cs(pad));
+        }
+        LocalId keyed = mb.local("k", "java.lang.String");
+        mb.binop(keyed, BinaryOp::Op::kConcat, Operand(s), cs("!"));  // statement 4
+        mb.store_static("com.s.M", "sKey", Operand(keyed));
+        mb.ret();
+    }
+    {
+        auto mb = cls.method("other").set_static();
+        LocalId x = mb.local("x", "java.lang.String");
+        mb.assign(x, cs("other-value"));
+        mb.scall(std::nullopt, "com.s.M.use", {Operand(x)});
+        mb.ret();
+    }
+    pb.register_event({"com.s.M", "go"}, EventKind::kOnClick, "click:go");
+    pb.register_event({"com.s.M", "other"}, EventKind::kOnClick, "click:other");
+    Program p = pb.build();
+
+    auto [txn, seeds] = slice_single(p);
+    const StmtRef use_s{*p.method_index({"com.s.M", "use"}), 0, 4};
+    const StmtRef other_value{*p.method_index({"com.s.M", "other"}), 0, 0};
+    ASSERT_TRUE(std::holds_alternative<BinaryOp>(p.statement(use_s)));
+    EXPECT_TRUE(has(txn.response_taint.statements, use_s));
+    EXPECT_FALSE(has(txn.request_taint.statements, other_value));
+    EXPECT_FALSE(has(txn.response_taint.statements, other_value));
+    EXPECT_TRUE(has(txn.combined_slice, other_value));
+    EXPECT_EQ(seeds, 3u);
 }

@@ -2,6 +2,8 @@
 // preferences, field-store/load chains, and return-summary propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "semantics/model.hpp"
 #include "taint/engine.hpp"
 #include "xir/builder.hpp"
@@ -67,7 +69,8 @@ TEST(TaintChannels, AsyncTaskArgsReachDoInBackground) {
     }
     EXPECT_TRUE(sink_hit);
     auto bg = fx.program.method_index({"com.t.Fetch", "doInBackground"});
-    EXPECT_TRUE(result.methods.count(*bg) > 0);
+    EXPECT_TRUE(std::any_of(result.statements.begin(), result.statements.end(),
+                            [&](const StmtRef& ref) { return ref.method_index == *bg; }));
 }
 
 TEST(TaintChannels, DatabaseCellsAreColumnSensitive) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -385,9 +388,15 @@ std::pair<TaintResult, std::map<std::string, std::uint64_t>> run_counted(
     return {std::move(result), std::move(delta)};
 }
 
+/// The methods holding at least one slice statement.
+std::set<std::uint32_t> methods_of(const TaintResult& r) {
+    std::set<std::uint32_t> out;
+    for (const StmtRef& ref : r.statements) out.insert(ref.method_index);
+    return out;
+}
+
 void expect_same_result(const TaintResult& a, const TaintResult& b) {
     EXPECT_EQ(a.statements, b.statements);
-    EXPECT_EQ(a.methods, b.methods);
     EXPECT_EQ(a.globals, b.globals);
     EXPECT_EQ(a.steps_used, b.steps_used);
     EXPECT_EQ(a.truncated, b.truncated);
@@ -471,20 +480,20 @@ TEST(TaintScaling, SeedsReachUntouchedMethods) {
 
     // Forward from the response: the call edge creates consume's state.
     auto response = fx.engine->run(queries[0].first, queries[0].second);
-    EXPECT_TRUE(response.methods.count(consume));
+    EXPECT_TRUE(methods_of(response).count(consume));
     EXPECT_TRUE(response.contains(fx.find_call("com.t.P.consume", "getString")));
     EXPECT_TRUE(token_stored(response));
 
     // A boundary seed is the first touch of consume in its run.
     auto entry = fx.engine->run(queries[2].first, queries[2].second);
-    EXPECT_EQ(entry.methods, std::set<std::uint32_t>{consume});
+    EXPECT_EQ(methods_of(entry), std::set<std::uint32_t>{consume});
     EXPECT_TRUE(entry.contains(fx.find_call("com.t.P.consume", "getString")));
     EXPECT_TRUE(token_stored(entry));
 
     // Backward from buildUrl's return: both branches and the caller's
     // argument, injected into onClick at the call site.
     auto url = fx.engine->run(queries[3].first, queries[3].second);
-    EXPECT_EQ(url.methods, (std::set<std::uint32_t>{build_url, on_click}));
+    EXPECT_EQ(methods_of(url), (std::set<std::uint32_t>{build_url, on_click}));
     EXPECT_TRUE(url.contains(fx.find_call("com.t.P.onClick", "buildUrl")));
     std::size_t appends = 0;
     for (const StmtRef& ref : url.statements) {
@@ -492,7 +501,26 @@ TEST(TaintScaling, SeedsReachUntouchedMethods) {
         if (call && call->callee.method_name == "append") ++appends;
     }
     EXPECT_EQ(appends, 3u);
-    for (std::uint32_t mi : url.methods) {
+    for (std::uint32_t mi : methods_of(url)) {
         EXPECT_LT(mi, fx.program.method_index({"com.t.Filler", "f0"}).value());
+    }
+}
+
+TEST(TaintScaling, ResultsAreStrictlyAscending) {
+    // The slice is a sorted, duplicate-free statement vector, and call
+    // events come one per statement in statement order: the slicer's
+    // merges and binary searches and the dependency analysis's tap scan
+    // rely on both.
+    Fixture fx(make_padded_app(8));
+    for (const auto& [dir, seeds] : padded_app_queries(fx)) {
+        auto result = fx.engine->run(dir, seeds);
+        EXPECT_FALSE(result.statements.empty());
+        EXPECT_TRUE(std::adjacent_find(result.statements.begin(), result.statements.end(),
+                                       std::greater_equal<>()) == result.statements.end());
+        EXPECT_TRUE(std::adjacent_find(result.call_events.begin(), result.call_events.end(),
+                                       [](const CallTaintEvent& a, const CallTaintEvent& b) {
+                                           return a.stmt >= b.stmt;
+                                       }) == result.call_events.end());
+        for (const StmtRef& ref : result.statements) EXPECT_TRUE(result.contains(ref));
     }
 }

@@ -1,11 +1,62 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "cache/cache.hpp"
+#include "core/analyzer.hpp"
+#include "corpus/corpus.hpp"
 #include "text/json.hpp"
 #include "text/regex.hpp"
 #include "text/uri.hpp"
 #include "text/xml.hpp"
+#include "xapk/serialize.hpp"
 
 using namespace extractocol::text;
+
+namespace {
+
+std::string repeat(std::string_view piece, std::size_t times) {
+    std::string out;
+    out.reserve(piece.size() * times);
+    for (std::size_t i = 0; i < times; ++i) out += piece;
+    return out;
+}
+
+/// `depth` nested arrays: [[...[]...]].
+std::string nested_arrays(std::size_t depth) {
+    return repeat("[", depth) + repeat("]", depth);
+}
+
+/// `depth` nested objects: {"a":{"a":...{"a":1}...}}.
+std::string nested_objects(std::size_t depth) {
+    return repeat("{\"a\":", depth) + "1" + repeat("}", depth);
+}
+
+/// `depth` nested elements: <a><a>...</a></a>.
+std::string nested_elements(std::size_t depth) {
+    return repeat("<a>", depth) + repeat("</a>", depth);
+}
+
+/// Arrays/objects nesting of a parsed document (a scalar is 0).
+std::size_t depth_of(const Json& v) {
+    std::size_t inner = 0;
+    if (v.is_array()) {
+        for (const auto& item : v.items()) inner = std::max(inner, depth_of(item));
+    } else if (v.is_object()) {
+        for (const auto& [key, value] : v.members()) inner = std::max(inner, depth_of(value));
+    } else {
+        return 0;
+    }
+    return inner + 1;
+}
+
+}  // namespace
 
 // ----------------------------------------------------------------- JSON --
 
@@ -65,6 +116,69 @@ TEST(Json, Errors) {
     EXPECT_FALSE(parse_json("").ok());
 }
 
+TEST(Json, NestingDepthIsBounded) {
+    // Hostile depth is an error, not a stack overflow.
+    EXPECT_FALSE(parse_json(repeat("[", 1'000'000)).ok());
+    EXPECT_FALSE(parse_json(repeat("{\"a\":", 1'000'000)).ok());
+    auto too_deep = parse_json(nested_arrays(kMaxJsonDepth + 1));
+    ASSERT_FALSE(too_deep.ok());
+    EXPECT_NE(too_deep.error().message.find("nesting"), std::string::npos);
+    EXPECT_FALSE(parse_json(nested_objects(kMaxJsonDepth + 1)).ok());
+    // Documents exactly at the limit parse.
+    auto arrays = parse_json(nested_arrays(kMaxJsonDepth));
+    ASSERT_TRUE(arrays.ok()) << arrays.error().message;
+    EXPECT_EQ(depth_of(arrays.value()), kMaxJsonDepth);
+    auto objects = parse_json(nested_objects(kMaxJsonDepth));
+    ASSERT_TRUE(objects.ok()) << objects.error().message;
+    EXPECT_EQ(depth_of(objects.value()), kMaxJsonDepth);
+    // Depth counts nesting, not containers: many siblings are fine.
+    EXPECT_TRUE(parse_json("[" + repeat("[],", 10'000) + "[]]").ok());
+}
+
+TEST(Json, EveryCorpusReportAndCacheEntryParses) {
+    // The depth limit sits far above real documents: every corpus app's
+    // public report and cache entry parses and nests well under it.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("xt_text_test_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    extractocol::cache::CacheOptions options;
+    options.dir = dir.string();
+    extractocol::cache::ReportCache cache(options);
+    std::vector<std::string> apps = extractocol::corpus::open_source_apps();
+    for (const auto& n : extractocol::corpus::closed_source_apps()) apps.push_back(n);
+    extractocol::core::Analyzer analyzer;
+    for (const auto& name : apps) {
+        SCOPED_TRACE(name);
+        std::string text = extractocol::xapk::write_xapk(
+            extractocol::corpus::build_app(name).program);
+        auto report = analyzer.analyze_xapk(text);
+        ASSERT_TRUE(report.ok()) << report.error().message;
+        auto rendered = parse_json(report.value().to_json().dump());
+        ASSERT_TRUE(rendered.ok()) << rendered.error().message;
+        EXPECT_LT(depth_of(rendered.value()), kMaxJsonDepth / 16);
+        ASSERT_TRUE(cache.store(extractocol::cache::ReportCache::key_for(text),
+                                report.value()));
+    }
+    std::size_t entries = 0;
+    for (const auto& file : fs::directory_iterator(dir)) {
+        if (file.path().extension() != ".xce") continue;  // cache entries only
+        SCOPED_TRACE(file.path().string());
+        std::ifstream in(file.path(), std::ios::binary);
+        std::stringstream raw;
+        raw << in.rdbuf();
+        const std::string entry = raw.str();
+        const std::size_t header_end = entry.find('\n');  // header line, then payload
+        ASSERT_NE(header_end, std::string::npos);
+        auto payload = parse_json(std::string_view(entry).substr(header_end + 1));
+        ASSERT_TRUE(payload.ok()) << payload.error().message;
+        EXPECT_LT(depth_of(payload.value()), kMaxJsonDepth / 16);
+        ++entries;
+    }
+    EXPECT_EQ(entries, apps.size());
+    fs::remove_all(dir);
+}
+
 TEST(Json, SetAndFind) {
     Json obj = Json::object();
     obj.set("a", 1);
@@ -113,6 +227,22 @@ TEST(Xml, Clone) {
     auto doc = std::move(parse_xml("<a><b x=\"1\">t</b></a>")).take();
     auto copy = doc->clone();
     EXPECT_EQ(doc->dump(), copy->dump());
+}
+
+TEST(Xml, NestingDepthIsBounded) {
+    EXPECT_FALSE(parse_xml(repeat("<a>", 1'000'000)).ok());
+    EXPECT_FALSE(parse_xml(nested_elements(1'000'000)).ok());
+    auto too_deep = parse_xml(nested_elements(kMaxXmlDepth + 1));
+    ASSERT_FALSE(too_deep.ok());
+    EXPECT_NE(too_deep.error().message.find("nesting"), std::string::npos);
+    auto at_limit = parse_xml(nested_elements(kMaxXmlDepth));
+    ASSERT_TRUE(at_limit.ok()) << at_limit.error().message;
+    std::size_t depth = 0;
+    for (const XmlElement* e = at_limit.value().get(); e != nullptr;
+         e = e->children.empty() ? nullptr : e->children.front().get()) {
+        ++depth;
+    }
+    EXPECT_EQ(depth, kMaxXmlDepth);
 }
 
 TEST(Xml, Errors) {
