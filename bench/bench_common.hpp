@@ -26,13 +26,11 @@ struct AppEvaluation {
 
 /// Runs the full §5.1 protocol for one app: Extractocol with the heuristic
 /// configuration the paper uses (off for open-source, on for closed-source),
-/// plus manual- and auto-fuzzing traces. `jobs` parallelizes the analysis
-/// pipeline's data-parallel stages (the report is identical for any value).
-inline AppEvaluation evaluate_app(const std::string& name, unsigned jobs = 1) {
+/// plus manual- and auto-fuzzing traces.
+inline AppEvaluation evaluate_app(const std::string& name) {
     AppEvaluation ev{corpus::build_app(name), {}, {}, {}};
     core::AnalyzerOptions options;
     options.async_heuristic = !ev.app.spec.open_source;
-    options.jobs = jobs;
     ev.report = core::Analyzer(options).analyze(ev.app.program);
     {
         auto server = ev.app.make_server();

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,6 +35,10 @@ namespace {
 // Self-pipe write end for the signal handlers. write() is async-signal-safe;
 // the accept loop polls the read end. Set before handlers are installed.
 int g_wake_fd = -1;
+
+/// Largest request the daemon accepts, whether it arrives as one protocol
+/// line or as the file a `file` request names.
+constexpr std::size_t kMaxRequestBytes = 64u << 20;
 
 void wake_on_signal(int) {
     char byte = 'x';
@@ -302,9 +305,14 @@ text::Json handle_request(ServerState& state, const std::string& line,
         record.file = label;
         std::ifstream in(label, std::ios::binary);
         if (!in) return error_response(id, "cannot open " + label);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        text = buffer.str();
+        // Bounded read: a named device such as /dev/zero never ends.
+        char chunk[1 << 16];
+        while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+            text.append(chunk, static_cast<std::size_t>(in.gcount()));
+            if (text.size() > kMaxRequestBytes) {
+                return error_response(id, "file too large: " + label);
+            }
+        }
     } else if (const text::Json* xapk = request.find("xapk")) {
         if (!xapk->is_string()) return error_response(id, "bad request: 'xapk' must be a string");
         record.op = "xapk";
@@ -451,8 +459,8 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
             }
         }
         buffer.erase(0, line_start);
-        // A "line" past 64 MiB with no newline is not a protocol client.
-        if (dead || buffer.size() > (64u << 20)) break;
+        // A "line" past the cap with no newline is not a protocol client.
+        if (dead || buffer.size() > kMaxRequestBytes) break;
     }
     state.connections_active->add(-1);
     connections.remove(fd);

@@ -9,7 +9,7 @@ namespace extractocol::obs {
 
 std::size_t HistogramStats::bucket_index(double sample) {
     if (!(sample > kBucketBase)) return 0;
-    // bucket i covers [base * 2^(i-1), base * 2^i)
+    // bucket i covers (base * 2^(i-1), base * 2^i]
     auto i = static_cast<std::size_t>(std::ceil(std::log2(sample / kBucketBase)));
     return std::min(i, kBucketCount - 1);
 }

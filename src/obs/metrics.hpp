@@ -163,10 +163,15 @@ private:
 
 struct HistogramStats {
     /// Bounded log2-spaced buckets for percentile estimates: bucket i counts
-    /// samples in [kBucketBase * 2^(i-1), kBucketBase * 2^i), bucket 0 holds
-    /// everything below kBucketBase, the last bucket is open-ended. With
-    /// base 0.001 (1µs when samples are milliseconds) 40 buckets span ~15
-    /// orders of magnitude in 320 bytes per instrument.
+    /// samples in (kBucketBase * 2^(i-1), kBucketBase * 2^i], bucket 0 holds
+    /// everything up to and including kBucketBase, the last bucket is
+    /// open-ended. Upper-inclusive buckets let percentile() return a
+    /// bucket's upper bound and never underestimate, up to log2 rounding:
+    /// the index is ceil(log2(x / base)), so each boundary kBucketBase * 2^k
+    /// lands in bucket k, but for k >= 4 a sample less than ~1e-14
+    /// (relative) above it can too. With base 0.001 (1µs when samples are
+    /// milliseconds) 40 buckets span ~15 orders of magnitude in 320 bytes
+    /// per instrument.
     static constexpr std::size_t kBucketCount = 40;
     static constexpr double kBucketBase = 0.001;
 

@@ -120,6 +120,25 @@ TEST(DaemonTest, HostileNestingGetsAnErrorAndTheDaemonLives) {
     ::close(fd);
 }
 
+TEST(DaemonTest, EndlessFileGetsAnErrorWithinTheRequestCap) {
+    TempDir dir("endless_file");
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    auto start = std::chrono::steady_clock::now();
+    Json rejected = DaemonFixture::request(fd, R"({"id":1,"file":"/dev/zero"})");
+    double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_TRUE(rejected.is_object());
+    EXPECT_FALSE(ok_of(rejected));
+    EXPECT_NE(rejected.find("error")->as_string().find("file too large"),
+              std::string::npos);
+    EXPECT_LT(seconds, 1.0);
+    // Same connection: the daemon still answers.
+    EXPECT_TRUE(ok_of(DaemonFixture::request(fd, R"({"op":"ping"})")));
+    ::close(fd);
+}
+
 TEST(DaemonTest, PipelinedAndByteSplitRequestsAreAnsweredInOrder) {
     TempDir dir("framing");
     DaemonFixture daemon(base_options(dir));

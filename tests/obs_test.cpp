@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -135,6 +137,23 @@ TEST(Metrics, HistogramBucketIndexIsMonotone) {
         EXPECT_GE(idx, prev) << sample;
         EXPECT_LT(idx, obs::HistogramStats::kBucketCount) << sample;
         prev = idx;
+    }
+    // Buckets are upper-inclusive, (base*2^(k-1), base*2^k]: each boundary
+    // belongs to the bucket it closes, the next double above it to the next
+    // bucket. Past k = 3 the log2 rounding can keep that next double in
+    // bucket k (see HistogramStats), so the boundary-crossing check stops there.
+    const double base = obs::HistogramStats::kBucketBase;
+    for (int k = 0; k < static_cast<int>(obs::HistogramStats::kBucketCount); ++k) {
+        EXPECT_EQ(obs::HistogramStats::bucket_index(std::ldexp(base, k)),
+                  static_cast<std::size_t>(k))
+            << k;
+    }
+    for (int k = 0; k <= 3; ++k) {
+        double above = std::nextafter(std::ldexp(base, k),
+                                      std::numeric_limits<double>::infinity());
+        EXPECT_EQ(obs::HistogramStats::bucket_index(above),
+                  static_cast<std::size_t>(k + 1))
+            << k;
     }
 }
 
