@@ -25,10 +25,20 @@ void Json::set(std::string_view key, Json value) {
     members().emplace_back(std::string(key), std::move(value));
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
+namespace {
+
+/// Whether `c` must be written as an escape inside JSON quotes.
+bool needs_escape(unsigned char c) { return c == '"' || c == '\\' || c < 0x20; }
+
+/// Appends the escaped form of `s` to `out`: each run of bytes that need no
+/// escape is appended in one call.
+void escape_into(std::string& out, std::string_view s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        if (!needs_escape(c)) continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -37,16 +47,22 @@ std::string json_escape(std::string_view s) {
             case '\n': out += "\\n"; break;
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(static_cast<char>(c));
-                }
+            default: {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size());
+    escape_into(out, s);
     return out;
 }
 
@@ -76,7 +92,7 @@ void dump_to(const Json& v, std::string& out, int indent, int depth) {
         }
         case Json::Kind::kString:
             out.push_back('"');
-            out += json_escape(v.as_string());
+            escape_into(out, v.as_string());
             out.push_back('"');
             break;
         case Json::Kind::kArray: {
@@ -98,7 +114,7 @@ void dump_to(const Json& v, std::string& out, int indent, int depth) {
                 if (i != 0) out.push_back(',');
                 newline(depth + 1);
                 out.push_back('"');
-                out += json_escape(members[i].first);
+                escape_into(out, members[i].first);
                 out += pretty ? "\": " : "\":";
                 dump_to(members[i].second, out, indent, depth + 1);
             }
@@ -229,13 +245,12 @@ private:
         ++pos_;  // opening quote
         std::string out;
         while (true) {
+            // Append the run up to the next quote or backslash in one call.
+            std::size_t run = pos_;
+            while (pos_ < input_.size() && input_[pos_] != '"' && input_[pos_] != '\\') ++pos_;
+            out.append(input_.data() + run, pos_ - run);
             if (at_end()) return Error("unterminated string");
-            char c = input_[pos_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
+            if (input_[pos_++] == '"') return out;
             if (at_end()) return Error("unterminated escape");
             char e = input_[pos_++];
             switch (e) {

@@ -60,6 +60,9 @@ public:
         return is_int() ? static_cast<double>(as_int()) : std::get<double>(value_);
     }
     [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(value_); }
+    /// Mutable access, so a caller can move a large string out of a parsed
+    /// document instead of copying it.
+    [[nodiscard]] std::string& as_string() { return std::get<std::string>(value_); }
 
     [[nodiscard]] const JsonArray& items() const { return std::get<JsonArray>(value_); }
     [[nodiscard]] JsonArray& items() { return std::get<JsonArray>(value_); }
@@ -68,6 +71,9 @@ public:
 
     /// Object member access; returns nullptr if absent or not an object.
     [[nodiscard]] const Json* find(std::string_view key) const;
+    [[nodiscard]] Json* find(std::string_view key) {
+        return const_cast<Json*>(std::as_const(*this).find(key));
+    }
 
     /// Sets (or replaces) an object member. Requires is_object().
     void set(std::string_view key, Json value);

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "core/analyzer.hpp"
 #include "corpus/corpus.hpp"
 #include "support/hash.hpp"
+#include "support/log.hpp"
 #include "support/sha256.hpp"
 #include "xapk/serialize.hpp"
 
@@ -160,6 +163,19 @@ TEST(CacheTest, StoreThenLoadReplaysTheReport) {
     EXPECT_EQ(load_cache.stats().misses, 0u);
     EXPECT_EQ(load_cache.stats().corrupt_entries, 0u);
 
+    // The daemon's hit path serves the stored rendering byte for byte, with
+    // the telemetry the request record needs.
+    std::optional<cache::RenderedHit> hit = load_cache.load_rendered(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->report, report.to_json().dump());
+    ASSERT_EQ(hit->phase_seconds.size(), report.stats.phases.size());
+    for (std::size_t i = 0; i < report.stats.phases.size(); ++i) {
+        EXPECT_EQ(hit->phase_seconds[i].first, report.stats.phases[i].name);
+        EXPECT_EQ(hit->phase_seconds[i].second, report.stats.phases[i].seconds);
+    }
+    EXPECT_EQ(hit->peak_bytes, report.stats.peak_bytes);
+    EXPECT_EQ(load_cache.stats().hits, 2u);
+
     // An absent key is a plain miss, not corruption.
     EXPECT_FALSE(load_cache.load(std::string(32, '0')).has_value());
     EXPECT_EQ(load_cache.stats().misses, 1u);
@@ -168,29 +184,37 @@ TEST(CacheTest, StoreThenLoadReplaysTheReport) {
 
 TEST(CacheTest, EveryInjectedCorruptionFallsBackCold) {
     // The integrity sweep: truncations, bit flips, garbage, wrong schema,
-    // appended bytes, an empty file. Every one must (a) load as nullopt,
-    // (b) be counted (corrupt, or eviction for clean invalidations),
-    // (c) be deleted, and (d) leave the cache able to re-store and then
-    // serve the CORRECT report — wrong output is never an outcome.
+    // appended bytes, an empty file, through BOTH load entry points — the
+    // strict decode and the daemon's rendered-bytes hit path. Every one
+    // must (a) load as nullopt, (b) be counted (corrupt, or eviction for
+    // clean invalidations), (c) be deleted, and (d) leave the cache able to
+    // re-store and then serve the CORRECT report — wrong output is never an
+    // outcome.
     TempCacheDir dir("corruption");
     cache::ReportCache report_cache(options_for(dir));
     std::string text = corpus_text("blippex");
     std::string key = cache::ReportCache::key_for(text);
     core::AnalysisReport report = analyze_text(text);
     std::string expected_text = report.to_text();
+    std::string expected_rendered = report.to_json().dump();
 
     ASSERT_TRUE(report_cache.store(key, report));
     fs::path entry = dir.path / (key + ".xce");
     std::string pristine = read_file(entry);
     ASSERT_FALSE(pristine.empty());
+    // The rendered section closes the entry.
+    ASSERT_GT(pristine.size(), expected_rendered.size());
+    const std::size_t rendered_at = pristine.size() - expected_rendered.size();
+    ASSERT_EQ(pristine.substr(rendered_at), expected_rendered);
 
     std::vector<std::pair<std::string, std::string>> mutations;
     mutations.emplace_back("empty file", "");
     mutations.emplace_back("wrong schema tag",
-                           "extractocol.cache/v0" + pristine.substr(19));
+                           "extractocol.cache/v0" + pristine.substr(20));
     mutations.emplace_back("garbage", "not a cache entry at all\n{}");
     mutations.emplace_back("appended bytes", pristine + "trailing garbage");
     mutations.emplace_back("header only", pristine.substr(0, pristine.find('\n') + 1));
+    mutations.emplace_back("rendered section cut", pristine.substr(0, rendered_at));
     // The repo's deterministic PRNG: the mutation schedule must be
     // reproducible in a failing log (no std::random_device).
     SplitMix64 rng(0x5eed);
@@ -207,32 +231,164 @@ TEST(CacheTest, EveryInjectedCorruptionFallsBackCold) {
         if (flipped == pristine) continue;
         mutations.emplace_back("bit flip at " + std::to_string(at), flipped);
     }
+    // The same inside the rendered section, which the hit path serves.
+    for (int i = 0; i < 8; ++i) {
+        std::size_t cut = rendered_at + rng.next_below(expected_rendered.size());
+        mutations.emplace_back("rendered truncated at " + std::to_string(cut),
+                               pristine.substr(0, cut));
+    }
+    for (int i = 0; i < 8; ++i) {
+        std::size_t at = rendered_at + rng.next_below(expected_rendered.size());
+        std::string flipped = pristine;
+        flipped[at] ^= static_cast<char>(1u << rng.next_below(8));
+        mutations.emplace_back("rendered bit flip at " + std::to_string(at), flipped);
+    }
 
-    for (const auto& [what, bytes] : mutations) {
-        write_file(entry, bytes);
-        cache::CacheStats before = report_cache.stats();
-        std::optional<core::AnalysisReport> loaded = report_cache.load(key);
-        cache::CacheStats after = report_cache.stats();
-        // Never wrong output: a mutated entry either fails validation
-        // (nullopt) or — only possible for a bit flip inside a JSON number
-        // of the payload that still checksums, which cannot happen since
-        // the checksum covers the payload — so it must be nullopt.
-        ASSERT_FALSE(loaded.has_value()) << what;
-        EXPECT_EQ(after.misses, before.misses + 1) << what;
-        EXPECT_EQ((after.corrupt_entries + after.evictions) -
-                      (before.corrupt_entries + before.evictions),
-                  1u)
-            << what;
-        EXPECT_FALSE(fs::exists(entry)) << what << ": corrupt entry not deleted";
+    // Each entry point: load it, and say whether it served the right report.
+    using Loader = std::function<std::optional<bool>()>;
+    std::vector<std::pair<std::string, Loader>> entry_points = {
+        {"load", [&]() -> std::optional<bool> {
+             std::optional<core::AnalysisReport> loaded = report_cache.load(key);
+             if (!loaded) return std::nullopt;
+             return loaded->to_text() == expected_text;
+         }},
+        {"load_rendered", [&]() -> std::optional<bool> {
+             std::optional<cache::RenderedHit> hit = report_cache.load_rendered(key);
+             if (!hit) return std::nullopt;
+             return hit->report == expected_rendered;
+         }},
+    };
+    for (const auto& [via, load] : entry_points) {
+        for (const auto& [mutation, bytes] : mutations) {
+            const std::string what = via + ", " + mutation;
+            write_file(entry, bytes);
+            cache::CacheStats before = report_cache.stats();
+            std::optional<bool> served = load();
+            cache::CacheStats after = report_cache.stats();
+            // Never wrong output: every mutation either breaks a length or
+            // lands in a checksummed byte, so it must fail validation.
+            ASSERT_FALSE(served.has_value()) << what;
+            EXPECT_EQ(after.misses, before.misses + 1) << what;
+            EXPECT_EQ(after.hits, before.hits) << what;
+            EXPECT_EQ((after.corrupt_entries + after.evictions) -
+                          (before.corrupt_entries + before.evictions),
+                      1u)
+                << what;
+            EXPECT_FALSE(fs::exists(entry)) << what << ": corrupt entry not deleted";
 
-        // The fallback path: cold analysis + re-store serves the correct
-        // report again.
-        ASSERT_TRUE(report_cache.store(key, report)) << what;
-        std::optional<core::AnalysisReport> recovered = report_cache.load(key);
-        ASSERT_TRUE(recovered.has_value()) << what;
-        EXPECT_EQ(recovered->to_text(), expected_text) << what;
+            // The fallback path: cold analysis + re-store serves the correct
+            // report again.
+            ASSERT_TRUE(report_cache.store(key, report)) << what;
+            served = load();
+            ASSERT_TRUE(served.has_value()) << what;
+            EXPECT_TRUE(*served) << what;
+        }
     }
     EXPECT_GT(report_cache.stats().corrupt_entries, 0u);
+}
+
+TEST(CacheTest, RenderedSectionWithARawNewlineIsCaughtByTheShapeCheck) {
+    // A raw '\n' in the rendered bytes would split the daemon's one-line
+    // response. Rewrite the section's checksum (and the header's own) so
+    // every length and FNV check passes: only the shape check is left to
+    // catch it, on both entry points.
+    TempCacheDir dir("shape");
+    cache::ReportCache report_cache(options_for(dir));
+    std::string text = corpus_text("blippex");
+    std::string key = cache::ReportCache::key_for(text);
+    core::AnalysisReport report = analyze_text(text);
+    std::string rendered = report.to_json().dump();
+    ASSERT_TRUE(report_cache.store(key, report));
+    fs::path entry = dir.path / (key + ".xce");
+    std::string pristine = read_file(entry);
+
+    std::string bad_rendered = rendered;
+    bad_rendered[bad_rendered.size() / 2] = '\n';
+    std::size_t newline = pristine.find('\n');
+    std::string header = pristine.substr(0, newline);
+    std::string body = pristine.substr(newline + 1, pristine.size() - newline - 1 -
+                                                        rendered.size());
+    auto set_field = [&](const std::string& name, const std::string& value) {
+        std::size_t at = header.find(" " + name + "=");
+        ASSERT_NE(at, std::string::npos) << name;
+        std::size_t start = at + name.size() + 2;
+        std::size_t stop = header.find(' ', start);
+        header.replace(start, (stop == std::string::npos ? header.size() : stop) - start,
+                       value);
+    };
+    auto hex16 = [](std::uint64_t v) {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+        return std::string(buf);
+    };
+    set_field("report_fnv", hex16(fnv1a(bad_rendered)));
+    std::size_t signed_size = header.find("header_fnv=");
+    ASSERT_NE(signed_size, std::string::npos);
+    set_field("header_fnv", hex16(fnv1a(std::string_view(header).substr(0, signed_size))));
+    const std::string forged = header + "\n" + body + bad_rendered;
+    ASSERT_EQ(forged.size(), pristine.size());
+
+    std::vector<std::string> reasons;
+    log::RecordSink previous = log::set_record_sink([&](const log::LogRecord& r) {
+        for (const auto& [field, value] : r.fields) {
+            if (field == "reason") reasons.push_back(value);
+        }
+    });
+    write_file(entry, forged);
+    EXPECT_FALSE(report_cache.load_rendered(key).has_value());
+    EXPECT_FALSE(fs::exists(entry));
+    write_file(entry, forged);
+    EXPECT_FALSE(report_cache.load(key).has_value());
+    EXPECT_FALSE(fs::exists(entry));
+    log::set_record_sink(previous);
+
+    EXPECT_EQ(report_cache.stats().corrupt_entries, 2u);
+    EXPECT_EQ(report_cache.stats().evictions, 0u);
+    ASSERT_EQ(reasons.size(), 2u);
+    for (const std::string& reason : reasons) {
+        EXPECT_EQ(reason, "report section is not one JSON object line");
+    }
+}
+
+TEST(CacheTest, PreviousEnvelopeIsACleanInvalidation) {
+    // An intact entry in the previous envelope (one codec section, no
+    // rendering) is stale, not corrupt: an eviction, deleted, and the next
+    // store serves a current-envelope hit.
+    TempCacheDir dir("previous_envelope");
+    cache::ReportCache report_cache(options_for(dir));
+    std::string text = corpus_text("blippex");
+    std::string key = cache::ReportCache::key_for(text);
+    core::AnalysisReport report = analyze_text(text);
+
+    text::Json payload_doc = text::Json::object();
+    payload_doc.set("report", cache::report_to_json(report));
+    text::Json check = text::Json::object();
+    check.set("transactions", text::Json(static_cast<std::int64_t>(report.transactions.size())));
+    check.set("dependencies", text::Json(static_cast<std::int64_t>(report.dependencies.size())));
+    payload_doc.set("check", std::move(check));
+    std::string payload = payload_doc.dump();
+    char fnv[17];
+    std::snprintf(fnv, sizeof fnv, "%016llx",
+                  static_cast<unsigned long long>(fnv1a(payload)));
+    fs::path entry = dir.path / (key + ".xce");
+    write_file(entry, std::string(cache::kPreviousCacheSchema) + " key=" + key +
+                          " analyzer=" + std::string(core::kAnalyzerVersion) +
+                          " bytes=" + std::to_string(payload.size()) + " fnv=" + fnv +
+                          "\n" + payload);
+
+    EXPECT_FALSE(report_cache.load_rendered(key).has_value());
+    cache::CacheStats stats = report_cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.corrupt_entries, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_FALSE(fs::exists(entry));
+
+    ASSERT_TRUE(report_cache.store(key, report));
+    EXPECT_EQ(read_file(entry).rfind(std::string(cache::kCacheSchema) + " ", 0), 0u);
+    std::optional<cache::RenderedHit> hit = report_cache.load_rendered(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->report, report.to_json().dump());
+    EXPECT_EQ(report_cache.stats().hits, 1u);
 }
 
 TEST(CacheTest, AnalyzerVersionSkewIsACleanInvalidation) {
@@ -451,14 +607,6 @@ TEST(CacheTest, CachedBatchMergesInOrderAndNeverCachesErrors) {
     EXPECT_EQ(warm.items[1].error, cold.items[1].error);
     EXPECT_EQ(warm_cache.stats().hits, 2u);
     EXPECT_EQ(warm_cache.stats().misses, 1u);
-
-    // The warm analyzer-reuse overload (the daemon's path) agrees.
-    core::Analyzer analyzer(options);
-    cache::ReportCache daemon_cache(options_for(dir));
-    cache::CachedBatch daemon =
-        cache::analyze_batch_cached(analyzer, &daemon_cache, make_inputs());
-    EXPECT_EQ(daemon.hits, 2u);
-    EXPECT_EQ(daemon.items[0].report->to_text(), cold.items[0].report->to_text());
 
     // Null cache: everything misses, nothing stored beyond the 2 entries.
     cache::CachedBatch uncached =

@@ -8,10 +8,12 @@
 // gauges all race here if they can race at all.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -137,6 +139,85 @@ TEST(DaemonTest, EndlessFileGetsAnErrorWithinTheRequestCap) {
     // Same connection: the daemon still answers.
     EXPECT_TRUE(ok_of(DaemonFixture::request(fd, R"({"op":"ping"})")));
     ::close(fd);
+}
+
+TEST(DaemonTest, FifoFileGetsAnErrorInsteadOfHanging) {
+    // A FIFO with no writer would block a plain open() or read() forever;
+    // the daemon refuses it at once and keeps the connection.
+    TempDir dir("fifo");
+    fs::path fifo = dir.path / "no_writer.fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    Json request = Json::object();
+    request.set("id", Json(1));
+    request.set("file", Json(fifo.string()));
+    auto start = std::chrono::steady_clock::now();
+    Json rejected = DaemonFixture::request(fd, request.dump());
+    double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_TRUE(rejected.is_object());
+    EXPECT_FALSE(ok_of(rejected));
+    EXPECT_NE(rejected.find("error")->as_string().find("not a regular file"),
+              std::string::npos);
+    EXPECT_LT(seconds, 1.0);
+    EXPECT_TRUE(ok_of(DaemonFixture::request(fd, R"({"op":"ping"})")));
+    ::close(fd);
+}
+
+TEST(DaemonTest, ConnectionPastTheCapGetsBusyThenEof) {
+    TempDir dir("conn_cap");
+    DaemonFixture daemon(base_options(dir));
+    constexpr int kCap = 64;
+    std::vector<int> held;
+    for (int i = 0; i < kCap; ++i) {
+        int fd = daemon.connect_fd();
+        ASSERT_GE(fd, 0) << "connection " << i;
+        held.push_back(fd);
+    }
+    // The accept loop takes connections in order, so these 64 are open
+    // when it reaches the next one.
+    ASSERT_TRUE(ok_of(DaemonFixture::request(held.back(), R"({"op":"ping"})")));
+    int extra = daemon.connect_fd();
+    ASSERT_GE(extra, 0);
+    std::vector<Json> busy = read_responses(extra, 2);  // one line, then EOF
+    ASSERT_EQ(busy.size(), 1u);
+    EXPECT_FALSE(ok_of(busy[0]));
+    EXPECT_EQ(busy[0].find("error")->as_string().rfind("busy: ", 0), 0u);
+    ::close(extra);
+
+    // Once one closes, a new connection is served (after the daemon has
+    // seen the close, hence the retry).
+    ::close(held.back());
+    held.pop_back();
+    bool served = false;
+    for (int attempt = 0; attempt < 200 && !served; ++attempt) {
+        int fd = daemon.connect_fd();
+        ASSERT_GE(fd, 0);
+        served = ok_of(DaemonFixture::request(fd, R"({"op":"ping"})"));
+        ::close(fd);
+        if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(served);
+
+    Json status = DaemonFixture::request(held.front(), R"({"op":"status"})");
+    ASSERT_TRUE(ok_of(status));
+    EXPECT_GE(status.find("status")->find("connections")->find("rejected")->as_int(), 1);
+    for (int fd : held) ::close(fd);
+    // Wait for the daemon to see the closes, so the fixture's shutdown
+    // request gets a slot.
+    for (int attempt = 0; attempt < 200; ++attempt) {
+        int fd = daemon.connect_fd();
+        ASSERT_GE(fd, 0);
+        Json probe = DaemonFixture::request(fd, R"({"op":"status"})");
+        ::close(fd);
+        if (ok_of(probe) &&
+            probe.find("status")->find("connections")->find("active")->as_int() == 1) {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
 }
 
 TEST(DaemonTest, PipelinedAndByteSplitRequestsAreAnsweredInOrder) {

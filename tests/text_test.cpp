@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "cache/cache.hpp"
 #include "core/analyzer.hpp"
 #include "corpus/corpus.hpp"
+#include "support/hash.hpp"
 #include "text/json.hpp"
 #include "text/regex.hpp"
 #include "text/uri.hpp"
@@ -168,15 +170,89 @@ TEST(Json, EveryCorpusReportAndCacheEntryParses) {
         std::stringstream raw;
         raw << in.rdbuf();
         const std::string entry = raw.str();
-        const std::size_t header_end = entry.find('\n');  // header line, then payload
+        // Header line, then the codec section (`bytes=`) and the rendered
+        // report (the rest); each is one JSON document.
+        const std::size_t header_end = entry.find('\n');
         ASSERT_NE(header_end, std::string::npos);
-        auto payload = parse_json(std::string_view(entry).substr(header_end + 1));
-        ASSERT_TRUE(payload.ok()) << payload.error().message;
-        EXPECT_LT(depth_of(payload.value()), kMaxJsonDepth / 16);
+        const std::string header = entry.substr(0, header_end);
+        const std::size_t bytes_at = header.find(" bytes=");
+        ASSERT_NE(bytes_at, std::string::npos);
+        const std::size_t codec_bytes = std::stoul(header.substr(bytes_at + 7));
+        const std::string_view body = std::string_view(entry).substr(header_end + 1);
+        ASSERT_LE(codec_bytes, body.size());
+        for (std::string_view section : {body.substr(0, codec_bytes), body.substr(codec_bytes)}) {
+            auto payload = parse_json(section);
+            ASSERT_TRUE(payload.ok()) << payload.error().message;
+            EXPECT_LT(depth_of(payload.value()), kMaxJsonDepth / 16);
+        }
         ++entries;
     }
     EXPECT_EQ(entries, apps.size());
     fs::remove_all(dir);
+}
+
+TEST(Json, EscapeThenParseRoundTripsEveryByte) {
+    // json_escape and parse_string copy whole runs between escapes; the
+    // output must equal the byte-at-a-time encoding they replaced, and
+    // escape-then-parse must give the input back, for every byte value and
+    // for runs that end exactly at an escape.
+    auto reference_escape = [](std::string_view in) {
+        std::string out;
+        for (unsigned char c : in) {
+            switch (c) {
+                case '"': out += "\\\""; break;
+                case '\\': out += "\\\\"; break;
+                case '\b': out += "\\b"; break;
+                case '\f': out += "\\f"; break;
+                case '\n': out += "\\n"; break;
+                case '\r': out += "\\r"; break;
+                case '\t': out += "\\t"; break;
+                default:
+                    if (c < 0x20) {
+                        char buf[8];
+                        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                        out += buf;
+                    } else {
+                        out.push_back(static_cast<char>(c));
+                    }
+            }
+        }
+        return out;
+    };
+    std::vector<std::string> cases = {"", "plain", "\"", "\\", "run\"", "run\\",
+                                      "run\n", "\x01run", "a\x1f", "\"\"\\\\\n\n"};
+    std::string all_bytes;
+    for (int c = 0; c < 256; ++c) all_bytes.push_back(static_cast<char>(c));
+    cases.push_back(all_bytes);
+    extractocol::SplitMix64 rng(0x6a50);
+    for (int i = 0; i < 2000; ++i) {
+        std::string random(rng.next_below(64), '\0');
+        for (char& c : random) c = static_cast<char>(rng.next_below(256));
+        cases.push_back(std::move(random));
+    }
+    for (const auto& name : extractocol::corpus::open_source_apps()) {
+        cases.push_back(
+            extractocol::xapk::write_xapk(extractocol::corpus::build_app(name).program));
+    }
+    for (const auto& name : extractocol::corpus::closed_source_apps()) {
+        cases.push_back(
+            extractocol::xapk::write_xapk(extractocol::corpus::build_app(name).program));
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE("case " + std::to_string(i));
+        const std::string escaped = json_escape(cases[i]);
+        ASSERT_EQ(escaped, reference_escape(cases[i]));
+        ASSERT_EQ(Json(cases[i]).dump(), "\"" + escaped + "\"");
+        auto parsed = parse_json("\"" + escaped + "\"");
+        ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+        ASSERT_EQ(parsed.value().as_string(), cases[i]);
+    }
+    // The string errors keep their messages.
+    EXPECT_EQ(parse_json("\"abc").error().message, "unterminated string");
+    EXPECT_EQ(parse_json("\"abc\\").error().message, "unterminated escape");
+    EXPECT_EQ(parse_json("\"a\\qb\"").error().message, "unknown escape");
+    EXPECT_EQ(parse_json("\"\\u12\"").error().message, "short \\u escape");
+    EXPECT_EQ(parse_json("\"\\u12zz\"").error().message, "bad \\u escape");
 }
 
 TEST(Json, SetAndFind) {
