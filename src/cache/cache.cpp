@@ -54,8 +54,7 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
 }
 
 /// Parses `name:seconds,name:seconds,...` (empty = no phases).
-bool parse_phases(std::string_view text,
-                  std::vector<std::pair<std::string, double>>& out) {
+bool parse_phases(std::string_view text, std::vector<obs::PhaseTiming>& out) {
     out.clear();
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -68,7 +67,7 @@ bool parse_phases(std::string_view text,
         const char* last = item.data() + item.size();
         auto [ptr, ec] = std::from_chars(item.data() + colon + 1, last, seconds);
         if (ec != std::errc() || ptr != last) return false;
-        out.emplace_back(std::string(item.substr(0, colon)), seconds);
+        out.push_back({std::string(item.substr(0, colon)), seconds});
         // A trailing comma would leave an empty last item.
         if (comma + 1 == text.size()) return false;
         pos = comma + 1;
@@ -138,7 +137,7 @@ struct ReportCache::Entry {
     std::size_t codec_size = 0;
     std::size_t report_offset = 0;
     std::size_t report_size = 0;
-    std::vector<std::pair<std::string, double>> phase_seconds;
+    std::vector<obs::PhaseTiming> phases;
     std::uint64_t peak_bytes = 0;
 
     [[nodiscard]] std::string_view codec() const {
@@ -250,7 +249,7 @@ std::optional<ReportCache::Entry> ReportCache::read_entry(const std::string& key
     std::uint64_t report_bytes = 0;
     if (!parse_u64(*bytes_field, codec_bytes) || !parse_u64(*report_bytes_field, report_bytes) ||
         !parse_u64(*peak_field, entry.peak_bytes) ||
-        !parse_phases(*phases_field, entry.phase_seconds)) {
+        !parse_phases(*phases_field, entry.phases)) {
         return corrupt("malformed header");
     }
     // Exact lengths catch both truncation and appended garbage.
@@ -300,16 +299,12 @@ std::optional<core::AnalysisReport> ReportCache::load(const std::string& key) {
     const core::AnalysisReport& decoded = report.value();
     const text::Json* txn_count = check->find("transactions");
     const text::Json* dep_count = check->find("dependencies");
-    bool phases_match = entry->phase_seconds.size() == decoded.stats.phases.size();
-    for (std::size_t i = 0; phases_match && i < entry->phase_seconds.size(); ++i) {
-        phases_match = entry->phase_seconds[i].first == decoded.stats.phases[i].name &&
-                       entry->phase_seconds[i].second == decoded.stats.phases[i].seconds;
-    }
     if (txn_count == nullptr || !txn_count->is_int() || dep_count == nullptr ||
         !dep_count->is_int() ||
         static_cast<std::uint64_t>(txn_count->as_int()) != decoded.transactions.size() ||
         static_cast<std::uint64_t>(dep_count->as_int()) != decoded.dependencies.size() ||
-        !phases_match || entry->peak_bytes != decoded.stats.peak_bytes) {
+        entry->phases != decoded.stats.phases ||
+        entry->peak_bytes != decoded.stats.peak_bytes) {
         return corrupt("telemetry cross-check failed");
     }
 
@@ -326,7 +321,7 @@ std::optional<RenderedHit> ReportCache::load_rendered(const std::string& key) {
     RenderedHit hit;
     hit.report = std::move(entry->raw);
     hit.report.erase(0, entry->report_offset);
-    hit.phase_seconds = std::move(entry->phase_seconds);
+    hit.phases = std::move(entry->phases);
     hit.peak_bytes = entry->peak_bytes;
     return hit;
 }

@@ -99,7 +99,7 @@ struct RenderedHit {
     /// with: one line, a JSON object.
     std::string report;
     /// The cold run's per-phase wall times, in pipeline order.
-    std::vector<std::pair<std::string, double>> phase_seconds;
+    std::vector<obs::PhaseTiming> phases;
     std::uint64_t peak_bytes = 0;
 };
 

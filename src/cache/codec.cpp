@@ -457,7 +457,7 @@ text::Json report_to_json(const core::AnalysisReport& report) {
     // timings bit-for-bit.
     stats.set("sec", Json(s.analysis_seconds));
     Json phases = Json::array();
-    for (const core::PhaseTiming& p : s.phases) {
+    for (const obs::PhaseTiming& p : s.phases) {
         Json pair = Json::array();
         pair.push_back(Json(p.name));
         pair.push_back(Json(p.seconds));

@@ -35,7 +35,9 @@ namespace {
 
 // Self-pipe write end for the signal handlers. write() is async-signal-safe;
 // the accept loop polls the read end. Set before handlers are installed.
-int g_wake_fd = -1;
+// Atomic because daemons may serve concurrently in one process (tests do);
+// a signal then wakes the most recently started one.
+std::atomic<int> g_wake_fd{-1};
 
 /// Largest request the daemon accepts, whether it arrives as one protocol
 /// line or as the file a `file` request names.
@@ -49,7 +51,7 @@ constexpr std::size_t kMaxConnections = 64;
 
 void wake_on_signal(int) {
     char byte = 'x';
-    [[maybe_unused]] ssize_t n = ::write(g_wake_fd, &byte, 1);
+    [[maybe_unused]] ssize_t n = ::write(g_wake_fd.load(), &byte, 1);
 }
 
 bool write_all(int fd, std::string_view data) {
@@ -152,12 +154,9 @@ struct ServerState {
     obs::Journal* journal = nullptr;  // nullable: --journal not given
     double slow_ms = -1;              // negative = slow logging disabled
     std::chrono::steady_clock::time_point started{};
-    /// Registry baseline at daemon start; the metrics op reports
-    /// delta_since(base) so counters reflect the requests served, not
-    /// whatever ran in the process before serve().
-    obs::MetricsSnapshot base;
-    std::atomic<std::uint64_t> connections_accepted{0};
     std::atomic<std::uint64_t> connections_rejected{0};
+    /// One id per accepted connection, so the last one handed out is also
+    /// the count of connections accepted.
     std::atomic<std::uint64_t> next_connection_id{0};
     obs::Gauge* connections_active = nullptr;
     obs::Gauge* requests_inflight = nullptr;
@@ -176,10 +175,11 @@ text::Json status_json(ServerState& state) {
     doc.set("uptime_seconds", text::Json(uptime));
 
     text::Json requests = text::Json::object();
-    requests.set("served",
-                 text::Json(static_cast<std::int64_t>(state.telemetry->served())));
-    requests.set("errors",
-                 text::Json(static_cast<std::int64_t>(state.telemetry->errors())));
+    auto count = [&state](const char* name) {
+        return text::Json(static_cast<std::int64_t>(state.telemetry->counter(name)));
+    };
+    requests.set("served", count("daemon.requests"));
+    requests.set("errors", count("daemon.request_errors"));
     // The request asking is itself still in flight, so this is >= 1.
     requests.set("inflight", text::Json(state.requests_inflight->value()));
     text::Json ops = text::Json::object();
@@ -193,7 +193,7 @@ text::Json status_json(ServerState& state) {
     connections.set("active", text::Json(state.connections_active->value()));
     connections.set("accepted",
                     text::Json(static_cast<std::int64_t>(
-                        state.connections_accepted.load(std::memory_order_relaxed))));
+                        state.next_connection_id.load(std::memory_order_relaxed))));
     connections.set("rejected",
                     text::Json(static_cast<std::int64_t>(
                         state.connections_rejected.load(std::memory_order_relaxed))));
@@ -288,11 +288,11 @@ struct Reply {
 
 /// Handles one request line; returns the response, sets `shutdown` when the
 /// daemon should stop after responding, and fills the telemetry skeleton of
-/// `record` (op, file, key, cached, phases). The caller derives
-/// outcome/error/wall/bytes from the response it is about to write, so the
+/// `record` (op, file, key, cached, and the analysis fields). The caller
+/// derives error/wall/bytes from the response it is about to write, so the
 /// error paths here stay single-line.
 Reply handle_request(ServerState& state, const std::string& line, bool& shutdown,
-                     obs::RequestRecord& record) {
+                     obs::AppRunRecord& record) {
     Result<text::Json> parsed = text::parse_json(line);
     if (!parsed.ok()) {
         return error_response(nullptr, "bad request: " + parsed.error().message);
@@ -337,14 +337,16 @@ Reply handle_request(ServerState& state, const std::string& line, bool& shutdown
                 return error_response(id,
                                    "bad request: unknown metrics format '" + format + "'");
             }
-            obs::MetricsSnapshot delta =
-                obs::MetricsRegistry::global().snapshot().delta_since(state.base);
+            // This daemon's counters, next to the registry's live gauges
+            // and histograms.
+            obs::MetricsSnapshot metrics = obs::MetricsRegistry::global().snapshot();
+            metrics.counters = state.telemetry->counters();
             response.set("ok", text::Json(true));
             response.set("format", text::Json(format));
             if (format == "prometheus") {
-                response.set("metrics", text::Json(delta.to_prometheus()));
+                response.set("metrics", text::Json(metrics.to_prometheus()));
             } else {
-                response.set("metrics", delta.to_json());
+                response.set("metrics", metrics.to_json());
             }
             return response;
         }
@@ -392,7 +394,7 @@ Reply handle_request(ServerState& state, const std::string& line, bool& shutdown
         record.key = ReportCache::key_for(text);
         if (std::optional<RenderedHit> hit = state.cache->load_rendered(record.key)) {
             record.cached = true;
-            record.phase_seconds = std::move(hit->phase_seconds);
+            record.phases = std::move(hit->phases);
             record.peak_bytes = hit->peak_bytes;
             reply.head.set("ok", text::Json(true));
             reply.head.set("file", text::Json(label));
@@ -407,9 +409,7 @@ Reply handle_request(ServerState& state, const std::string& line, bool& shutdown
     inputs[0].text = std::move(text);
     std::vector<core::BatchItem> items = state.analyzer->analyze_batch(std::move(inputs));
     const core::BatchItem& item = items[0];
-    obs::AppRunRecord app = core::telemetry_record(item, *state.analyzer_options);
-    record.phase_seconds = std::move(app.phase_seconds);
-    record.peak_bytes = app.peak_bytes;
+    record = core::telemetry_record(item, *state.analyzer_options, std::move(record));
     if (!item.ok()) {
         reply.head.set("ok", text::Json(false));
         reply.head.set("file", text::Json(item.file));
@@ -427,30 +427,34 @@ Reply handle_request(ServerState& state, const std::string& line, bool& shutdown
 }
 
 /// Renders "parse=1.2ms taint=3.4ms ..." for the slow-request log line.
-std::string phase_breakdown(
-    const std::vector<std::pair<std::string, double>>& phases) {
+std::string phase_breakdown(const std::vector<obs::PhaseTiming>& phases) {
     std::string out;
     char buf[64];
-    for (const auto& [name, seconds] : phases) {
+    for (const obs::PhaseTiming& phase : phases) {
         std::snprintf(buf, sizeof buf, "%s%s=%.3fms", out.empty() ? "" : " ",
-                      name.c_str(), seconds * 1000.0);
+                      phase.name.c_str(), phase.seconds * 1000.0);
         out += buf;
     }
     return out;
 }
 
-/// Runs one request end to end: telemetry id, timing, trace span, journal
-/// line, slow log. Returns the serialized response (newline included).
+/// Runs one request end to end: telemetry id, run scope, timing, trace
+/// span, journal line, slow log. Returns the serialized response (newline
+/// included).
 std::string run_request(ServerState& state, std::uint64_t connection_id,
                         const std::string& line, bool& shutdown) {
-    obs::RequestRecord record;
+    obs::AppRunRecord record;
     record.request_id = state.telemetry->next_request_id();
     record.connection_id = connection_id;
     record.op = "invalid";
     state.requests_inflight->add(1);
+    // Every counter the request bumps, on this thread or on the analysis
+    // workers, lands in this scope and from there in the daemon's tally.
+    obs::RunScope scope;
     auto start = std::chrono::steady_clock::now();
     Reply reply = handle_request(state, line, shutdown, record);
     auto end = std::chrono::steady_clock::now();
+    auto counters = scope.close();
     std::string payload = reply.head.dump();
     if (!reply.report.empty()) {
         // `"report":<bytes>` joins as the last member: exactly the dump of
@@ -465,8 +469,6 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
 
     record.wall_seconds = std::chrono::duration<double>(end - start).count();
     record.response_bytes = payload.size();
-    const text::Json* ok = reply.head.find("ok");
-    record.outcome = (ok != nullptr && ok->is_bool() && ok->as_bool()) ? "ok" : "error";
     if (const text::Json* error = reply.head.find("error");
         error != nullptr && error->is_string()) {
         record.error = error->as_string();
@@ -482,8 +484,8 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
         event.thread = tracer.thread_number();
         tracer.record(std::move(event));
     }
-    state.telemetry->record(record);
-    if (state.journal != nullptr) state.journal->append(record.to_json());
+    state.telemetry->record(record, counters);
+    if (state.journal != nullptr) state.journal->append(record.journal_json());
     double ms = record.wall_seconds * 1000.0;
     if (state.slow_ms >= 0 && ms >= state.slow_ms) {
         log::warn()
@@ -492,7 +494,7 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
                 .kv("op", record.op)
                 .kv("ms", ms)
                 .kv("cached", record.cached ? "true" : "false")
-                .kv("phases", phase_breakdown(record.phase_seconds))
+                .kv("phases", phase_breakdown(record.phases))
             << "daemon: slow request";
     }
     state.requests_inflight->add(-1);
@@ -502,7 +504,6 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
 void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
     std::uint64_t connection_id =
         state.next_connection_id.fetch_add(1, std::memory_order_relaxed) + 1;
-    state.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     state.connections_active->add(1);
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     if (tracer.enabled()) {
@@ -643,9 +644,6 @@ int serve(const ServeOptions& options) {
     state.started = std::chrono::steady_clock::now();
     state.connections_active = &obs::gauge("daemon.connections.active");
     state.requests_inflight = &obs::gauge("daemon.requests.inflight");
-    // Baseline AFTER analyzer/cache construction: their setup counters are
-    // not request work, and the metrics op must report only the latter.
-    state.base = obs::MetricsRegistry::global().snapshot();
 
     ConnectionSet connections;
     WorkerSet workers;
@@ -698,20 +696,23 @@ int serve(const ServeOptions& options) {
     ::sigaction(SIGTERM, &old_term, nullptr);
     ::sigaction(SIGINT, &old_int, nullptr);
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
-    g_wake_fd = -1;
+    int own_wake_fd = wake[1];
+    g_wake_fd.compare_exchange_strong(own_wake_fd, -1);
     ::close(wake[0]);
     ::close(wake[1]);
     if (cache) {
         CacheStats s = cache->stats();
         log::info()
-                .kv("requests", telemetry.served())
-                .kv("errors", telemetry.errors())
+                .kv("requests", telemetry.counter("daemon.requests"))
+                .kv("errors", telemetry.counter("daemon.request_errors"))
                 .kv("hits", s.hits)
                 .kv("misses", s.misses)
                 .kv("corrupt_entries", s.corrupt_entries)
             << "cache: daemon stopped";
     } else {
-        log::info().kv("requests", telemetry.served()).kv("errors", telemetry.errors())
+        log::info()
+                .kv("requests", telemetry.counter("daemon.requests"))
+                .kv("errors", telemetry.counter("daemon.request_errors"))
             << "cache: daemon stopped";
     }
     return 0;

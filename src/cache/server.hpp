@@ -25,23 +25,24 @@
 // {"op":"shutdown"} request) stop the accept loop via a self-pipe, drain
 // open connections, and unlink the socket.
 //
-// Observability (PR 10): every request gets a monotonic id and becomes one
-// obs::RequestRecord — op, cache key, hit/miss, outcome, wall + per-phase
-// seconds, response bytes — folded into live telemetry (lifetime tallies
-// plus sliding-window registry instruments under `daemon.*`), optionally
-// appended to a JSONL access journal (--journal, size-rotated), and logged
-// with a per-phase breakdown when slower than --slow-ms. The admin plane
-// rides the same protocol:
+// Observability: every request gets a monotonic id, runs inside its own
+// obs::RunScope, and becomes one obs::AppRunRecord — op, cache key,
+// hit/miss, error, wall + per-phase seconds, response bytes — folded into
+// live telemetry (per-daemon tallies plus sliding-window registry
+// instruments under `daemon.*`), optionally appended to a JSONL access
+// journal (--journal, size-rotated), and logged with a per-phase breakdown
+// when slower than --slow-ms. The admin plane rides the same protocol:
 //
 //   -> {"op": "status"}                      <- {"ok":true,"status":{...}}
 //   -> {"op": "metrics"}                     <- {"ok":true,"metrics":"<prom text>"}
 //   -> {"op": "metrics", "format": "json"}   <- {"ok":true,"metrics":{...}}
 //   -> {"op": "health"}                      <- {"ok":true,"healthy":true}
 //
-// The metrics op reports the registry delta since daemon start, so counter
-// values are a function of the requests served, not of whatever ran in the
-// process before serve(). When tracing is on, each request records a
-// "request.<op>" trace span on its connection's thread ("conn-<n>").
+// The metrics op's counters are this daemon's tally of its requests' scope
+// counts, so they are a function of the requests served, not of whatever
+// else runs in the process; gauges and histograms are the registry's. When
+// tracing is on, each request records a "request.<op>" trace span on its
+// connection's thread ("conn-<n>").
 #pragma once
 
 #include <cstdint>

@@ -516,8 +516,13 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
     namespace memtrack = support::memtrack;
     const bool track_per_app = app_jobs == 1 && memtrack::enabled();
 
+    // One unit per input, folded in input order: everything an input
+    // counts, its parse included, reaches the caller's scope.
+    obs::RunScope run;
+    std::vector<obs::RunScope::Unit> units(inputs.size());
     std::atomic<std::size_t> done{0};
     support::parallel_for(app_jobs, inputs.size(), [&](std::size_t i) {
+        obs::RunScope::Enter unit(units[i]);
         items[i].file = inputs[i].file;
         std::uint64_t mem_base = 0;
         if (track_per_app) {
@@ -554,17 +559,17 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
                                     inputs.size());
         }
     });
-    // Count contained failures sequentially so the counter total is exact
-    // and jobs-independent.
+    run.fold(units, units.size());
     for (const auto& item : items) {
         if (!item.ok()) obs::counter("isolation.contained_errors").add(1);
     }
+    (void)run.close();
     return items;
 }
 
 obs::AppRunRecord telemetry_record(const BatchItem& item,
-                                   const AnalyzerOptions& options) {
-    obs::AppRunRecord rec;
+                                   const AnalyzerOptions& options,
+                                   obs::AppRunRecord rec) {
     rec.file = item.file;
     if (!item.ok()) {
         rec.outcome = "error";
@@ -584,10 +589,7 @@ obs::AppRunRecord telemetry_record(const BatchItem& item,
         }
     }
     rec.wall_seconds = report.stats.analysis_seconds;
-    rec.phase_seconds.reserve(report.stats.phases.size());
-    for (const PhaseTiming& p : report.stats.phases) {
-        rec.phase_seconds.emplace_back(p.name, p.seconds);
-    }
+    rec.phases = report.stats.phases;
     rec.steps_used = report.stats.budget_steps_used;
     if (options.max_total_steps > 0) {
         rec.budget_fraction = static_cast<double>(report.stats.budget_steps_used) /

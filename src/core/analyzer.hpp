@@ -57,12 +57,6 @@ struct ReportTransaction {
     [[nodiscard]] bool is_paired() const { return signature.has_response_body; }
 };
 
-/// Wall time of one pipeline phase (obs::Span measurement).
-struct PhaseTiming {
-    std::string name;
-    double seconds = 0;
-};
-
 struct AnalysisStats {
     std::size_t total_statements = 0;
     std::size_t slice_statements = 0;
@@ -77,7 +71,7 @@ struct AnalysisStats {
     /// Per-phase wall times in pipeline order. `xapk.parse` is present only
     /// when the analysis started from .xapk text. The remaining phases
     /// partition analyze(), so their sum tracks `analysis_seconds`.
-    std::vector<PhaseTiming> phases;
+    std::vector<obs::PhaseTiming> phases;
     /// Counters bumped by this run (named per DESIGN.md "Observability"),
     /// name-sorted, zeros dropped. Collected by the run's obs::RunScope, so
     /// exact under any concurrency and identical for every --jobs value.
@@ -228,14 +222,16 @@ struct BatchItem {
     [[nodiscard]] bool ok() const { return report.has_value(); }
 };
 
-/// Folds one batch outcome into the obs::RunTelemetry record shape: outcome
+/// Fills the analysis fields of `record` from one batch outcome: outcome
 /// classification (error > budget_exhausted > partial > complete, where
 /// "partial" means any DP site terminated short of "complete"), per-phase
 /// wall times, budget consumption (fraction of `options.max_total_steps`; 0
 /// when unlimited), peak memory, and result sizes. The bridge between
-/// core's batch results and the obs-layer run manifest.
+/// core's batch results and the obs-layer record: the CLI starts from an
+/// empty record, the daemon's miss path passes its request record in.
 [[nodiscard]] obs::AppRunRecord telemetry_record(const BatchItem& item,
-                                                const AnalyzerOptions& options);
+                                                const AnalyzerOptions& options,
+                                                obs::AppRunRecord record = {});
 
 class Analyzer {
 public:
@@ -252,7 +248,9 @@ public:
     /// while every other input still reports. Inputs are analyzed
     /// concurrently (`jobs` split across apps, remainder inside each app) and
     /// results are returned in input order — the item list is byte-identical
-    /// for every `jobs` value.
+    /// for every `jobs` value. One RunScope covers the batch, with one unit
+    /// per input folded in input order, so every counter the inputs bump
+    /// (their parses included) reaches the caller's scope.
     ///
     /// Takes the inputs by value: each input's serialized text is released
     /// as soon as that app has been analyzed, so a large batch's peak memory

@@ -4,31 +4,68 @@
 
 namespace extractocol::obs {
 
-text::Json RequestRecord::to_json() const {
+namespace {
+
+/// Adds `n` under `name` to a name-sorted (name, count) tally.
+void tally(std::vector<std::pair<std::string, std::uint64_t>>& counts,
+           std::string_view name, std::uint64_t n = 1) {
+    auto it = std::lower_bound(
+        counts.begin(), counts.end(), name,
+        [](const auto& entry, std::string_view key) { return entry.first < key; });
+    if (it != counts.end() && it->first == name) {
+        it->second += n;
+    } else {
+        counts.emplace(it, std::string(name), n);
+    }
+}
+
+text::Json phases_json(const std::vector<PhaseTiming>& phases) {
+    text::Json out = text::Json::array();
+    for (const PhaseTiming& phase : phases) {
+        text::Json p = text::Json::object();
+        p.set("name", text::Json(phase.name));
+        p.set("seconds", text::Json(phase.seconds));
+        out.push_back(std::move(p));
+    }
+    return out;
+}
+
+text::Json u64_json(std::uint64_t v) { return text::Json(static_cast<std::int64_t>(v)); }
+
+}  // namespace
+
+text::Json AppRunRecord::manifest_json() const {
     text::Json obj = text::Json::object();
-    obj.set("request", text::Json(static_cast<std::int64_t>(request_id)));
-    obj.set("connection", text::Json(static_cast<std::int64_t>(connection_id)));
+    obj.set("file", text::Json(file));
+    obj.set("outcome", text::Json(outcome));
+    if (!error.empty()) obj.set("error", text::Json(error));
+    obj.set("wall_seconds", text::Json(wall_seconds));
+    obj.set("phases", phases_json(phases));
+    obj.set("steps_used", u64_json(steps_used));
+    obj.set("budget_fraction", text::Json(budget_fraction));
+    obj.set("peak_bytes", u64_json(peak_bytes));
+    obj.set("transactions", u64_json(transactions));
+    obj.set("dependencies", u64_json(dependencies));
+    // Accuracy blocks are deterministic scores, exempt from normalization
+    // by the same argument as steps_used.
+    if (accuracy) obj.set("accuracy", *accuracy);
+    return obj;
+}
+
+text::Json AppRunRecord::journal_json() const {
+    text::Json obj = text::Json::object();
+    obj.set("request", u64_json(request_id));
+    obj.set("connection", u64_json(connection_id));
     obj.set("op", text::Json(op));
     if (!file.empty()) obj.set("file", text::Json(file));
     if (!key.empty()) obj.set("key", text::Json(key));
     obj.set("cached", text::Json(cached));
-    obj.set("outcome", text::Json(outcome));
+    obj.set("outcome", text::Json(error.empty() ? "ok" : "error"));
     if (!error.empty()) obj.set("error", text::Json(error));
     obj.set("wall_seconds", text::Json(wall_seconds));
-    if (!phase_seconds.empty()) {
-        text::Json phases = text::Json::array();
-        for (const auto& [name, seconds] : phase_seconds) {
-            text::Json p = text::Json::object();
-            p.set("name", text::Json(name));
-            p.set("seconds", text::Json(seconds));
-            phases.push_back(std::move(p));
-        }
-        obj.set("phases", std::move(phases));
-    }
-    obj.set("response_bytes", text::Json(static_cast<std::int64_t>(response_bytes)));
-    if (peak_bytes > 0) {
-        obj.set("peak_bytes", text::Json(static_cast<std::int64_t>(peak_bytes)));
-    }
+    if (!phases.empty()) obj.set("phases", phases_json(phases));
+    obj.set("response_bytes", u64_json(response_bytes));
+    if (peak_bytes > 0) obj.set("peak_bytes", u64_json(peak_bytes));
     return obj;
 }
 
@@ -43,45 +80,44 @@ std::uint64_t RequestTelemetry::next_request_id() {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void RequestTelemetry::record(const RequestRecord& record) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-    if (record.outcome == "error") {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        request_errors_->add(1);
-    }
+void RequestTelemetry::record(
+    const AppRunRecord& record,
+    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+    const bool failed = !record.error.empty();
+    // Hits and misses count lookups: admin ops, requests that failed before
+    // reaching the cache and daemons without one carry no key.
+    const bool looked_up = !record.key.empty();
     requests_->add(1);
+    if (failed) request_errors_->add(1);
+    if (looked_up) (record.cached ? cache_hits_ : cache_misses_)->add(1);
     latency_ms_->observe(record.wall_seconds * 1000.0);
-    // Only analysis ops travel through the cache; admin ops carry
-    // cached=false and must not dilute the hit rate.
-    if (record.op == "file" || record.op == "xapk") {
-        if (record.cached) {
-            cache_hits_->add(1);
-        } else {
-            cache_misses_->add(1);
-        }
-    }
+
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](const auto& p) { return p.first == record.op; });
-    if (it == ops_.end()) {
-        ops_.emplace_back(record.op, 1);
-        std::sort(ops_.begin(), ops_.end());
-    } else {
-        it->second += 1;
+    tally(ops_, record.op);
+    tally(counters_, "daemon.requests");
+    if (failed) tally(counters_, "daemon.request_errors");
+    if (looked_up) {
+        tally(counters_, record.cached ? "daemon.cache.hits" : "daemon.cache.misses");
     }
-}
-
-std::uint64_t RequestTelemetry::served() const {
-    return served_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t RequestTelemetry::errors() const {
-    return errors_.load(std::memory_order_relaxed);
+    for (const auto& [name, n] : counters) tally(counters_, name, n);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> RequestTelemetry::op_tally() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return ops_;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> RequestTelemetry::counters() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_;
+}
+
+std::uint64_t RequestTelemetry::counter(std::string_view name) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [n, value] : counters_) {
+        if (n == name) return value;
+    }
+    return 0;
 }
 
 HistogramStats RequestTelemetry::latency_lifetime_ms() const {
@@ -159,30 +195,12 @@ FleetStats RunTelemetry::fleet() const {
     }
     for (const AppRunRecord& r : records_) {
         if (r.outcome == "error") out.errors += 1;
-        auto it = std::find_if(out.outcomes.begin(), out.outcomes.end(),
-                               [&](const auto& p) { return p.first == r.outcome; });
-        if (it == out.outcomes.end()) {
-            out.outcomes.emplace_back(r.outcome, 1);
-        } else {
-            it->second += 1;
-        }
+        tally(out.outcomes, r.outcome);
         // Re-derive the latency distribution from the records rather than
         // keeping a live Histogram: fleet() stays consistent with whatever
         // subset of records has been added so far.
-        double ms = r.wall_seconds * 1000.0;
-        HistogramStats& h = out.latency_ms;
-        if (h.count == 0) {
-            h.min = ms;
-            h.max = ms;
-        } else {
-            h.min = std::min(h.min, ms);
-            h.max = std::max(h.max, ms);
-        }
-        h.count += 1;
-        h.sum += ms;
-        h.buckets[HistogramStats::bucket_index(ms)] += 1;
+        out.latency_ms.observe(r.wall_seconds * 1000.0);
     }
-    std::sort(out.outcomes.begin(), out.outcomes.end());
     return out;
 }
 
@@ -219,7 +237,7 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
         fs.latency_ms = latency;
         for (AppRunRecord& r : records) {
             r.wall_seconds = 0;
-            for (auto& [name, seconds] : r.phase_seconds) seconds = 0;
+            for (PhaseTiming& phase : r.phases) phase.seconds = 0;
             r.peak_bytes = 0;
         }
         if (cache && cache->is_object()) {
@@ -234,7 +252,7 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
             // The registry is process-global: histogram counts and gauge
             // values accumulate across runs in the same process, so a
             // byte-comparable rendering must zero them entirely. Counters
-            // survive because callers attach delta_since() snapshots, which
+            // survive because they are the run's own RunScope counts, which
             // are deterministic per run at any --jobs value.
             for (auto& [name, value] : metrics->gauges) value = 0;
             for (auto& [name, stats] : metrics->histograms) stats = HistogramStats{};
@@ -242,38 +260,15 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
     }
 
     text::Json apps = text::Json::array();
-    for (const AppRunRecord& r : records) {
-        text::Json obj = text::Json::object();
-        obj.set("file", text::Json(r.file));
-        obj.set("outcome", text::Json(r.outcome));
-        if (!r.error.empty()) obj.set("error", text::Json(r.error));
-        obj.set("wall_seconds", text::Json(r.wall_seconds));
-        text::Json phases = text::Json::array();
-        for (const auto& [name, seconds] : r.phase_seconds) {
-            text::Json p = text::Json::object();
-            p.set("name", text::Json(name));
-            p.set("seconds", text::Json(seconds));
-            phases.push_back(std::move(p));
-        }
-        obj.set("phases", std::move(phases));
-        obj.set("steps_used", text::Json(static_cast<std::int64_t>(r.steps_used)));
-        obj.set("budget_fraction", text::Json(r.budget_fraction));
-        obj.set("peak_bytes", text::Json(static_cast<std::int64_t>(r.peak_bytes)));
-        obj.set("transactions", text::Json(static_cast<std::int64_t>(r.transactions)));
-        obj.set("dependencies", text::Json(static_cast<std::int64_t>(r.dependencies)));
-        // Accuracy blocks are deterministic scores, exempt from
-        // normalization by the same argument as steps_used.
-        if (r.accuracy) obj.set("accuracy", *r.accuracy);
-        apps.push_back(std::move(obj));
-    }
+    for (const AppRunRecord& r : records) apps.push_back(r.manifest_json());
 
     text::Json outcomes = text::Json::object();
     for (const auto& [name, count] : fs.outcomes) {
-        outcomes.set(name, text::Json(static_cast<std::int64_t>(count)));
+        outcomes.set(name, u64_json(count));
     }
     text::Json fleet_obj = text::Json::object();
-    fleet_obj.set("apps", text::Json(static_cast<std::int64_t>(fs.apps)));
-    fleet_obj.set("errors", text::Json(static_cast<std::int64_t>(fs.errors)));
+    fleet_obj.set("apps", u64_json(fs.apps));
+    fleet_obj.set("errors", u64_json(fs.errors));
     fleet_obj.set("outcomes", std::move(outcomes));
     fleet_obj.set("wall_seconds", text::Json(fs.wall_seconds));
     fleet_obj.set("apps_per_second", text::Json(fs.apps_per_second));
@@ -284,8 +279,8 @@ text::Json RunTelemetry::manifest_json(bool normalize_resources) const {
     // v2: per-app and fleet "accuracy" blocks (optional, --eval runs only).
     // v1 consumers that only read the fields they know keep working.
     doc.set("schema", text::Json("extractocol.run_manifest/v2"));
-    doc.set("generated_unix_ms", text::Json(static_cast<std::int64_t>(timestamp)));
-    doc.set("jobs", text::Json(static_cast<std::int64_t>(jobs)));
+    doc.set("generated_unix_ms", u64_json(timestamp));
+    doc.set("jobs", u64_json(jobs));
     doc.set("fleet", std::move(fleet_obj));
     doc.set("apps", std::move(apps));
     // Profile totals are deterministic counts (Profiler::summary_json), so

@@ -22,35 +22,57 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "text/json.hpp"
 
 namespace extractocol::obs {
 
-/// Telemetry record of one analyzed input. Deterministic fields (outcome,
-/// steps, budget fraction, transaction counts) come straight from the
-/// analysis; resource fields (wall clock, memory) are measurements.
+/// Telemetry record of one unit of work: one input of a batch run, or one
+/// daemon request. core::telemetry_record fills the analysis fields on both
+/// paths; the run manifest and the access journal are its two sinks.
+/// Deterministic fields (outcome, steps, budget fraction, transaction
+/// counts; a request's op, cached flag and error) come straight from the
+/// work; wall clock, memory, sizes and ids are measurements.
 struct AppRunRecord {
+    /// Daemon requests only: monotonic per-daemon request and connection
+    /// ids (1-based), the op ("file" | "xapk" | "ping" | "status" |
+    /// "metrics" | "health" | "shutdown" | "invalid"), the cache key
+    /// (non-empty iff a cache lookup happened), whether the response
+    /// replayed a cached report, and the response line's size.
+    std::uint64_t request_id = 0;
+    std::uint64_t connection_id = 0;
+    std::string op;
+    std::string key;
+    bool cached = false;
+    std::uint64_t response_bytes = 0;
+
+    /// The input label (a file path, or "<inline>" for a daemon request).
     std::string file;
-    /// Terminal outcome: "complete" (every DP site complete), "partial"
-    /// (some site degraded), "budget_exhausted" (the per-app step budget
-    /// ran out), or "error" (the input failed and was contained).
+    /// Terminal outcome of an analysis: "complete" (every DP site
+    /// complete), "partial" (some site degraded), "budget_exhausted" (the
+    /// per-app step budget ran out), or "error" (the input failed and was
+    /// contained). The journal renders "ok"/"error" from `error` instead.
     std::string outcome;
-    /// The contained per-app failure message; non-empty iff outcome=="error".
+    /// The contained failure message (a daemon request's response error);
+    /// non-empty iff the work failed.
     std::string error;
     double wall_seconds = 0;
-    /// Per-phase wall times in pipeline order (name, seconds).
-    std::vector<std::pair<std::string, double>> phase_seconds;
+    /// Per-phase wall times in pipeline order (a cache hit replays the cold
+    /// run's stored timings: the phases belong to the report).
+    std::vector<PhaseTiming> phases;
     /// Abstract steps charged against the per-app budget (taint worklist
     /// iterations + signature-builder statement executions).
     std::uint64_t steps_used = 0;
     /// steps_used / max_total_steps; 0 when the run was unlimited.
     double budget_fraction = 0;
-    /// Peak tracked bytes attributed to this app (0 unless memtrack is
-    /// enabled and apps ran sequentially — see DESIGN.md §11).
+    /// Peak tracked bytes attributed to this work (0 unless memtrack is
+    /// enabled and apps ran sequentially — see DESIGN.md §11; concurrent
+    /// daemon requests overlap, so treat theirs as an upper bound).
     std::uint64_t peak_bytes = 0;
     std::uint64_t transactions = 0;
     std::uint64_t dependencies = 0;
@@ -59,6 +81,11 @@ struct AppRunRecord {
     /// block is derived from deterministic inputs, so normalization leaves
     /// it untouched.
     std::optional<text::Json> accuracy;
+
+    /// The run manifest's per-app entry.
+    [[nodiscard]] text::Json manifest_json() const;
+    /// The access-journal line (compact: one object, stable key order).
+    [[nodiscard]] text::Json journal_json() const;
 };
 
 /// Fleet-level aggregate of a run's AppRunRecords.
@@ -66,7 +93,7 @@ struct FleetStats {
     std::size_t apps = 0;
     std::size_t errors = 0;
     /// Outcome tally, sorted by outcome name.
-    std::vector<std::pair<std::string, std::size_t>> outcomes;
+    std::vector<std::pair<std::string, std::uint64_t>> outcomes;
     double wall_seconds = 0;     // whole-run wall clock
     double apps_per_second = 0;  // apps / wall_seconds
     /// Per-app latency distribution (milliseconds).
@@ -77,63 +104,36 @@ struct FleetStats {
 // The --serve daemon's unit of attribution is one socket request, not one
 // batch run: production debugging needs "what did request 4217 cost and did
 // it hit the cache", which end-of-run aggregates cannot answer. Every
-// daemon request becomes one RequestRecord (the access-journal line and the
-// slow-request log), and RequestTelemetry folds the stream of records into
-// the live counters/windows the status/metrics admin ops report.
+// daemon request becomes one AppRunRecord (the access-journal line and the
+// slow-request log) plus the counts its RunScope closed with, and
+// RequestTelemetry folds that stream into the live tallies and windows the
+// status/metrics admin ops report.
 
-/// Telemetry record of one daemon request. Deterministic skeleton (op,
-/// outcome, cached, error) per driven workload; ids, latencies, and sizes
-/// are measurements.
-struct RequestRecord {
-    /// Monotonic per-daemon id, assigned at arrival (1-based).
-    std::uint64_t request_id = 0;
-    /// Monotonic id of the connection that carried the request (1-based).
-    std::uint64_t connection_id = 0;
-    /// "file" | "xapk" | "ping" | "status" | "metrics" | "health" |
-    /// "shutdown" | "invalid" (unparseable / unknown requests).
-    std::string op;
-    /// Input label for analysis ops (the file path, or "<inline>").
-    std::string file;
-    /// Content-addressed cache key (analysis ops through a cache only).
-    std::string key;
-    /// True when the response replayed a cached report.
-    bool cached = false;
-    /// "ok" | "error".
-    std::string outcome;
-    /// The response's error message; non-empty iff outcome=="error".
-    std::string error;
-    double wall_seconds = 0;
-    /// Analysis per-phase wall times (for hits these replay the cold run's
-    /// stored timings — the phases are a property of the report).
-    std::vector<std::pair<std::string, double>> phase_seconds;
-    /// Size of the serialized response line (newline included).
-    std::uint64_t response_bytes = 0;
-    /// Peak tracked bytes (0 unless memtrack is on; concurrent requests
-    /// overlap, so treat as an upper bound — same caveat as batch mode).
-    std::uint64_t peak_bytes = 0;
-
-    /// The access-journal line (compact: one object, stable key order).
-    [[nodiscard]] text::Json to_json() const;
-};
-
-/// Folds the daemon's request stream into live telemetry: lifetime tallies
-/// for the status op, and windowed registry instruments (daemon.request_ms,
-/// daemon.requests, daemon.cache.hits/misses) so status/metrics can report
-/// last-minute percentiles and hit rates next to lifetime ones. All methods
-/// are thread-safe; one instance lives for the daemon's lifetime.
+/// Folds the daemon's request stream into live telemetry: a per-daemon
+/// counter tally (each request's scope counts plus daemon.requests,
+/// daemon.request_errors and daemon.cache.hits/misses), the op tally, and
+/// windowed registry instruments under the same daemon.* names, so
+/// status/metrics can report last-minute percentiles and hit rates next to
+/// lifetime ones. All methods are thread-safe; one instance lives for the
+/// daemon's lifetime.
 class RequestTelemetry {
 public:
     RequestTelemetry();
 
     /// Assigns the next monotonic request id (1-based).
     [[nodiscard]] std::uint64_t next_request_id();
-    /// Folds one completed request in (tallies + windowed instruments).
-    void record(const RequestRecord& record);
+    /// Folds one completed request in: `counters` are the counts its
+    /// RunScope closed with.
+    void record(const AppRunRecord& record,
+                const std::vector<std::pair<std::string, std::uint64_t>>& counters);
 
-    [[nodiscard]] std::uint64_t served() const;
-    [[nodiscard]] std::uint64_t errors() const;
     /// Per-op completion tally, sorted by op name.
     [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> op_tally() const;
+    /// Every counter this daemon's requests bumped, sorted by name: the
+    /// metrics op's counters.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
+    /// One counter of that tally (0 when never bumped).
+    [[nodiscard]] std::uint64_t counter(std::string_view name) const;
     [[nodiscard]] HistogramStats latency_lifetime_ms() const;
     [[nodiscard]] HistogramStats latency_window_ms() const;
     [[nodiscard]] std::uint64_t window_cache_hits() const;
@@ -142,12 +142,12 @@ public:
 
 private:
     std::atomic<std::uint64_t> next_id_{0};
-    std::atomic<std::uint64_t> served_{0};
-    std::atomic<std::uint64_t> errors_{0};
     mutable std::mutex mutex_;
     std::vector<std::pair<std::string, std::uint64_t>> ops_;
-    // Registry windowed instruments, acquired once (instances are global to
-    // the process; per-daemon deltas come from the daemon's own tallies).
+    std::vector<std::pair<std::string, std::uint64_t>> counters_;
+    // Registry windowed instruments, acquired once. They are global to the
+    // process, so only their windows are read; lifetime totals come from
+    // this daemon's own tallies.
     WindowedHistogram* latency_ms_;
     WindowedCounter* requests_;
     WindowedCounter* request_errors_;
@@ -164,8 +164,9 @@ public:
     void set_jobs(unsigned jobs);
     void set_timestamp_unix_ms(std::uint64_t ms);
     void set_run_wall_seconds(double seconds);
-    /// Attaches a metrics snapshot (typically the run's registry delta);
-    /// rendered into the manifest with Prometheus-sanitized names.
+    /// Attaches a metrics snapshot: the counters the run's RunScope closed
+    /// with, next to the registry's gauges and histograms. Rendered into the
+    /// manifest with Prometheus-sanitized names.
     void set_metrics(MetricsSnapshot snapshot);
     /// Attaches the profiler's deterministic totals (Profiler::summary_json)
     /// as the manifest's "profile" section. Omitted when never set.

@@ -105,6 +105,14 @@ private:
     std::chrono::steady_clock::time_point epoch_;
 };
 
+/// Wall time of one pipeline phase, as a Span measured it: the one phase
+/// timing type of analysis stats, cache entries and run records.
+struct PhaseTiming {
+    std::string name;
+    double seconds = 0;
+    bool operator==(const PhaseTiming&) const = default;
+};
+
 /// Measures one phase. Always cheap to construct; reports to the global
 /// TraceRecorder on finish (destructor or explicit finish()) when tracing is
 /// enabled. `seconds()` works whether or not tracing is on, so callers can

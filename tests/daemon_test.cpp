@@ -372,6 +372,99 @@ TEST(DaemonTest, MetricsOpServesPrometheusAndJsonDeltas) {
     ::close(fd);
 }
 
+namespace {
+
+/// The metrics op's counters as JSON (null on failure).
+Json metrics_counters(int fd) {
+    Json response = DaemonFixture::request(fd, R"({"op":"metrics","format":"json"})");
+    const Json* metrics = ok_of(response) ? response.find("metrics") : nullptr;
+    const Json* counters = metrics != nullptr ? metrics->find("counters") : nullptr;
+    return counters != nullptr ? *counters : Json();
+}
+
+std::int64_t counter_of(const Json& counters, const char* name) {
+    const Json* value = counters.is_object() ? counters.find(name) : nullptr;
+    return value != nullptr && value->is_int() ? value->as_int() : 0;
+}
+
+}  // namespace
+
+TEST(DaemonTest, FailedFileReadIsNotACacheMiss) {
+    // A file request whose read fails never looks the cache up, so the
+    // daemon's miss tally must agree with the cache's own.
+    TempDir dir("unread");
+    cache::ServeOptions options = base_options(dir);
+    cache::CacheOptions cache_options;
+    cache_options.dir = (dir.path / "cache").string();
+    options.cache = cache_options;
+    DaemonFixture daemon(options);
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(ok_of(DaemonFixture::request(fd, xapk_request(corpus_text("blippex"), 1))));
+    EXPECT_FALSE(ok_of(DaemonFixture::request(fd, R"({"file":"/nonexistent"})")));
+
+    Json counters = metrics_counters(fd);
+    EXPECT_EQ(counter_of(counters, "cache.misses"), 1);
+    EXPECT_EQ(counter_of(counters, "daemon.cache.misses"),
+              counter_of(counters, "cache.misses"));
+    EXPECT_EQ(counter_of(counters, "daemon.request_errors"), 1);
+    ::close(fd);
+}
+
+TEST(DaemonTest, TwoDaemonsInOneProcessEachCountOnlyTheirOwnWork) {
+    // Two daemons serve at once in one process. Each metrics op reports
+    // exactly its own requests and cache hits, however the other daemon's
+    // work interleaves with them.
+    TempDir dir_a("two_a");
+    TempDir dir_b("two_b");
+    auto with_cache = [](const TempDir& dir) {
+        cache::ServeOptions options = base_options(dir);
+        cache::CacheOptions cache_options;
+        cache_options.dir = (dir.path / "cache").string();
+        options.cache = cache_options;
+        return options;
+    };
+    DaemonFixture daemon_a(with_cache(dir_a));
+    DaemonFixture daemon_b(with_cache(dir_b));
+    const std::string text = corpus_text("blippex");
+    // A: one miss, one hit. B: one miss, three hits.
+    auto drive = [&text](const DaemonFixture& daemon, int requests, bool& ok) {
+        int fd = daemon.connect_fd();
+        ok = fd >= 0;
+        for (int i = 0; ok && i < requests; ++i) {
+            ok = ok_of(DaemonFixture::request(fd, xapk_request(text, i + 1)));
+        }
+        if (fd >= 0) ::close(fd);
+    };
+    bool ok_a = false;
+    bool ok_b = false;
+    std::thread client_a([&] { drive(daemon_a, 2, ok_a); });
+    std::thread client_b([&] { drive(daemon_b, 4, ok_b); });
+    client_a.join();
+    client_b.join();
+    ASSERT_TRUE(ok_a);
+    ASSERT_TRUE(ok_b);
+
+    int fd_a = daemon_a.connect_fd();
+    int fd_b = daemon_b.connect_fd();
+    ASSERT_GE(fd_a, 0);
+    ASSERT_GE(fd_b, 0);
+    Json counters_a = metrics_counters(fd_a);
+    Json counters_b = metrics_counters(fd_b);
+    EXPECT_EQ(counter_of(counters_a, "daemon.requests"), 2);
+    EXPECT_EQ(counter_of(counters_a, "cache.hits"), 1);
+    EXPECT_EQ(counter_of(counters_a, "daemon.cache.hits"), 1);
+    EXPECT_EQ(counter_of(counters_b, "daemon.requests"), 4);
+    EXPECT_EQ(counter_of(counters_b, "cache.hits"), 3);
+    EXPECT_EQ(counter_of(counters_b, "daemon.cache.hits"), 3);
+    // Analysis counters are attributed too: each daemon analyzed one app.
+    EXPECT_EQ(counter_of(counters_a, "xapk.programs_parsed"), 1);
+    EXPECT_EQ(counter_of(counters_b, "xapk.programs_parsed"), 1);
+    EXPECT_EQ(counter_of(counters_a, "taint.runs"), counter_of(counters_b, "taint.runs"));
+    ::close(fd_a);
+    ::close(fd_b);
+}
+
 TEST(DaemonTest, ConcurrentMixedClientsJournalEveryRequestDistinctly) {
     TempDir dir("stress");
     fs::path journal_path = dir.path / "access.jsonl";

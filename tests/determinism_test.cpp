@@ -291,10 +291,13 @@ TEST(DeterminismTest, RunManifestAndPrometheusAreByteIdenticalAcrossJobCounts) {
         core::AnalyzerOptions options;
         options.jobs = jobs;
         options.max_total_steps = 1'000'000;  // exercise budget_fraction too
-        obs::MetricsSnapshot base = obs::MetricsRegistry::global().snapshot();
+        // The run's counters come from an outer scope over the batch, as in
+        // the CLI; gauges and histograms are the registry's.
+        obs::RunScope scope;
         auto items = core::Analyzer(options).analyze_batch(inputs);
-        obs::MetricsSnapshot delta =
-            obs::MetricsRegistry::global().snapshot().delta_since(base);
+        std::vector<std::pair<std::string, std::uint64_t>> counters = scope.close();
+        obs::MetricsSnapshot run_metrics = obs::MetricsRegistry::global().snapshot();
+        run_metrics.counters = std::move(counters);
 
         obs::RunTelemetry telemetry;
         telemetry.set_jobs(jobs);
@@ -303,7 +306,7 @@ TEST(DeterminismTest, RunManifestAndPrometheusAreByteIdenticalAcrossJobCounts) {
         for (const auto& item : items) {
             telemetry.add(core::telemetry_record(item, options));
         }
-        telemetry.set_metrics(delta);
+        telemetry.set_metrics(run_metrics);
         std::string manifest =
             telemetry.manifest_json(/*normalize_resources=*/true).dump_pretty();
 
@@ -311,7 +314,7 @@ TEST(DeterminismTest, RunManifestAndPrometheusAreByteIdenticalAcrossJobCounts) {
         // histograms carry absolute process-global state (they accumulate
         // across the three runs of this test), counters are true per-run
         // deltas and must match exactly.
-        obs::MetricsSnapshot normalized = delta;
+        obs::MetricsSnapshot normalized = run_metrics;
         for (auto& [name, value] : normalized.gauges) value = 0;
         for (auto& [name, stats] : normalized.histograms) stats = obs::HistogramStats{};
         return std::make_pair(std::move(manifest), normalized.to_prometheus());

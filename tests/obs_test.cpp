@@ -7,12 +7,15 @@
 #include <thread>
 #include <vector>
 
+#include "core/analyzer.hpp"
+#include "corpus/corpus.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "support/memtrack.hpp"
 #include "support/parallel.hpp"
 #include "text/json.hpp"
+#include "xapk/serialize.hpp"
 
 namespace obs = extractocol::obs;
 using extractocol::text::Json;
@@ -170,23 +173,14 @@ TEST(Metrics, PercentilesInJsonAndTable) {
     EXPECT_NE(snap.to_table().find("p99="), std::string::npos);
 }
 
-TEST(Metrics, SnapshotSortedAndDelta) {
+TEST(Metrics, SnapshotSortedByName) {
     obs::MetricsRegistry registry;
     registry.counter("zeta").add(10);
     registry.counter("alpha").add(1);
-    auto before = registry.snapshot();
-    ASSERT_EQ(before.counters.size(), 2u);
-    EXPECT_EQ(before.counters[0].first, "alpha");  // sorted by name
-    EXPECT_EQ(before.counters[1].first, "zeta");
-
-    registry.counter("zeta").add(5);
-    registry.counter("fresh").add(7);
-    auto delta = registry.snapshot().delta_since(before);
-    // alpha unchanged -> dropped; zeta delta 5; fresh counted from zero.
-    ASSERT_EQ(delta.counters.size(), 2u);
-    EXPECT_EQ(*delta.counter("fresh"), 7u);
-    EXPECT_EQ(*delta.counter("zeta"), 5u);
-    EXPECT_EQ(delta.counter("alpha"), nullptr);
+    auto snap = registry.snapshot();
+    ASSERT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.counters[0].first, "alpha");  // sorted by name
+    EXPECT_EQ(snap.counters[1].first, "zeta");
 }
 
 TEST(Metrics, SnapshotJsonAndTable) {
@@ -259,6 +253,82 @@ TEST(Metrics, RunScopeCountsExactlyItsOwnWork) {
     EXPECT_EQ(shared.value(), shared_before + 1'000 + 7 + 7);
     EXPECT_EQ(unit_only.value(), unit_before + 30);
     EXPECT_EQ(local_counter.value(), 3u);
+}
+
+TEST(Metrics, NestedRunScopeReachesTheRegistryOnceAtTheOutermostClose) {
+    // A closing scope folds into the scope enclosing it on its thread and
+    // returns only its own counts; the registry sees the total once, when
+    // the outermost scope closes.
+    obs::Counter& counter = obs::counter("test.run_scope.nested");
+    const std::uint64_t before = counter.value();
+    std::vector<std::pair<std::string, std::uint64_t>> inner_counts;
+    std::vector<std::pair<std::string, std::uint64_t>> outer_counts;
+    {
+        obs::RunScope outer;
+        counter.add(2);
+        {
+            obs::RunScope inner;
+            counter.add(5);
+            inner_counts = inner.close();
+        }
+        EXPECT_EQ(counter.value(), before) << "the inner close reached the registry";
+        counter.add(1);
+        outer_counts = outer.close();
+    }
+    using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(inner_counts, (Counts{{"test.run_scope.nested", 5}}));
+    EXPECT_EQ(outer_counts, (Counts{{"test.run_scope.nested", 8}}));
+    EXPECT_EQ(counter.value(), before + 8);
+}
+
+TEST(Metrics, ConcurrentBatchesEachCloseWithExactlyTheirOwnCounts) {
+    // Two analyze_batch calls run at once on two threads, at jobs 2, each
+    // inside its own outer scope. Each close() must equal that batch's
+    // counts when it runs alone: analysis and parse counters made on the
+    // batch's workers reach its scope and nobody else's.
+    using namespace extractocol;
+    auto input = [](const char* name) {
+        return core::BatchInput{std::string(name) + ".xapk",
+                                xapk::write_xapk(corpus::build_app(name).program)};
+    };
+    const std::vector<core::BatchInput> batch_a = {
+        input("blippex"), {"poisoned.xapk", "not an xapk at all"}};
+    const std::vector<core::BatchInput> batch_b = {input("TED"), input("radio reddit")};
+    core::AnalyzerOptions options;
+    options.jobs = 2;
+    auto counts_of = [&options](const std::vector<core::BatchInput>& inputs) {
+        obs::RunScope run;
+        (void)core::Analyzer(options).analyze_batch(inputs);
+        return run.close();
+    };
+    auto value_of = [](const std::vector<std::pair<std::string, std::uint64_t>>& counts,
+                       const std::string& name) -> std::uint64_t {
+        for (const auto& [n, v] : counts) {
+            if (n == name) return v;
+        }
+        return 0;
+    };
+
+    obs::Counter& parsed = obs::counter("xapk.programs_parsed");
+    const std::uint64_t parsed_before = parsed.value();
+    const auto alone_a = counts_of(batch_a);
+    const auto alone_b = counts_of(batch_b);
+    EXPECT_EQ(value_of(alone_a, "xapk.programs_parsed"), 1u);
+    EXPECT_EQ(value_of(alone_a, "isolation.contained_errors"), 1u);
+    EXPECT_EQ(value_of(alone_b, "xapk.programs_parsed"), 2u);
+    EXPECT_GT(value_of(alone_a, "taint.runs"), 0u);
+    EXPECT_GT(value_of(alone_b, "taint.runs"), 0u);
+    // Outermost scopes: their counts reached the registry exactly once.
+    EXPECT_EQ(parsed.value(), parsed_before + 3);
+
+    std::vector<std::pair<std::string, std::uint64_t>> together_a;
+    std::vector<std::pair<std::string, std::uint64_t>> together_b;
+    std::thread thread_a([&] { together_a = counts_of(batch_a); });
+    std::thread thread_b([&] { together_b = counts_of(batch_b); });
+    thread_a.join();
+    thread_b.join();
+    EXPECT_EQ(together_a, alone_a);
+    EXPECT_EQ(together_b, alone_b);
 }
 
 TEST(Trace, SpanMeasuresTime) {
@@ -452,7 +522,7 @@ obs::AppRunRecord make_record(const std::string& file, const std::string& outcom
     r.outcome = outcome;
     if (outcome == "error") r.error = "boom";
     r.wall_seconds = wall_seconds;
-    r.phase_seconds = {{"slicing", wall_seconds / 2}, {"sig", wall_seconds / 2}};
+    r.phases = {{"slicing", wall_seconds / 2}, {"sig", wall_seconds / 2}};
     r.steps_used = 100;
     r.budget_fraction = 0.25;
     r.peak_bytes = 4096;
@@ -871,49 +941,60 @@ TEST(Telemetry, RequestTelemetryTalliesAndWindows) {
     EXPECT_EQ(telemetry.next_request_id(), 1u);
     EXPECT_EQ(telemetry.next_request_id(), 2u);
 
-    obs::RequestRecord hit;
+    obs::AppRunRecord hit;
     hit.request_id = 1;
     hit.op = "file";
+    hit.key = "deadbeef";
     hit.cached = true;
-    hit.outcome = "ok";
     hit.wall_seconds = 0.002;
-    telemetry.record(hit);
+    telemetry.record(hit, {{"cache.hits", 1}});
 
-    obs::RequestRecord err;
+    obs::AppRunRecord err;
     err.request_id = 2;
     err.op = "ping";
-    err.outcome = "error";
     err.error = "boom";
     err.wall_seconds = 0.001;
-    telemetry.record(err);
+    telemetry.record(err, {});
 
-    EXPECT_EQ(telemetry.served(), 2u);
-    EXPECT_EQ(telemetry.errors(), 1u);
+    // A file request that failed before its lookup has no key: no miss.
+    obs::AppRunRecord unread;
+    unread.request_id = 3;
+    unread.op = "file";
+    unread.error = "cannot open /nonexistent";
+    telemetry.record(unread, {});
+
+    EXPECT_EQ(telemetry.counter("daemon.requests"), 3u);
+    EXPECT_EQ(telemetry.counter("daemon.request_errors"), 2u);
     auto ops = telemetry.op_tally();
     ASSERT_EQ(ops.size(), 2u);
     EXPECT_EQ(ops[0].first, "file");  // sorted by op name
-    EXPECT_EQ(ops[0].second, 1u);
+    EXPECT_EQ(ops[0].second, 2u);
     EXPECT_EQ(ops[1].first, "ping");
-    EXPECT_GE(telemetry.latency_lifetime_ms().count, 2u);
+    using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(telemetry.counters(), (Counts{{"cache.hits", 1},
+                                            {"daemon.cache.hits", 1},
+                                            {"daemon.request_errors", 2},
+                                            {"daemon.requests", 3}}));
+    EXPECT_GE(telemetry.latency_lifetime_ms().count, 3u);
     EXPECT_DOUBLE_EQ(telemetry.window_seconds(), 60.0);
     // Only analysis ops count toward the cache hit/miss window.
     EXPECT_GE(telemetry.window_cache_hits(), 1u);
 }
 
-TEST(Telemetry, RequestRecordJsonShape) {
-    obs::RequestRecord record;
+TEST(Telemetry, JournalLineJsonShape) {
+    obs::AppRunRecord record;
     record.request_id = 7;
     record.connection_id = 2;
     record.op = "file";
     record.file = "app.xapk";
     record.key = "deadbeef";
     record.cached = true;
-    record.outcome = "ok";
+    record.outcome = "complete";  // the analysis outcome: manifest only
     record.wall_seconds = 0.25;
-    record.phase_seconds = {{"parse", 0.1}, {"taint", 0.15}};
+    record.phases = {{"parse", 0.1}, {"taint", 0.15}};
     record.response_bytes = 512;
 
-    Json doc = record.to_json();
+    Json doc = record.journal_json();
     ASSERT_TRUE(doc.is_object());
     EXPECT_EQ(doc.find("request")->as_int(), 7);
     EXPECT_EQ(doc.find("op")->as_string(), "file");
@@ -926,6 +1007,17 @@ TEST(Telemetry, RequestRecordJsonShape) {
     // line is grep-fodder, not a fixed-width table.
     EXPECT_EQ(doc.find("error"), nullptr);
     EXPECT_EQ(doc.find("peak_bytes"), nullptr);
+    // The journal keeps its members and their order; manifest-only fields
+    // (the analysis outcome, steps, counts) stay out of it.
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : doc.members()) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"request", "connection", "op", "file", "key",
+                                              "cached", "outcome", "wall_seconds", "phases",
+                                              "response_bytes"}));
+
+    // A failed request renders outcome "error" from its error message.
+    record.error = "boom";
+    EXPECT_EQ(record.journal_json().find("outcome")->as_string(), "error");
 
     // A full round-trip through dump/parse survives.
     auto parsed = parse_json(doc.dump());

@@ -5,6 +5,8 @@
 #
 #   * --run-manifest writes the JSON ledger: schema tag, one record per
 #     input (the poisoned one as an "error" outcome), fleet aggregates;
+#   * the manifest's metrics.counters (the CLI's run-scope counts) are
+#     identical at --jobs 1 and --jobs 2, and count every parsed input;
 #   * --metrics-prom writes Prometheus text exposition with sanitized
 #     (dot-free) names;
 #   * --progress reports on stderr only — stdout is byte-identical with and
@@ -72,6 +74,31 @@ foreach(needle
     message(FATAL_ERROR "run manifest missing ${needle}:\n${manifest_text}")
   endif()
 endforeach()
+
+# --- manifest counters: exact at any --jobs --------------------------------
+set(manifest_jobs1 "${WORK_DIR}/manifest_jobs1.json")
+execute_process(
+  COMMAND "${EXTRACTOCOL}" --jobs 1 --run-manifest "${manifest_jobs1}" ${inputs}
+  RESULT_VARIABLE rc_jobs1
+  OUTPUT_QUIET
+  ERROR_QUIET)
+if(NOT rc_jobs1 EQUAL 1)
+  message(FATAL_ERROR "--jobs 1 batch exit code diverged: ${rc_jobs1}")
+endif()
+file(READ "${manifest_jobs1}" manifest_jobs1_text)
+string(JSON counters_jobs1 GET "${manifest_jobs1_text}" metrics counters)
+string(JSON counters_jobs2 GET "${manifest_text}" metrics counters)
+if(NOT counters_jobs1 STREQUAL counters_jobs2)
+  message(FATAL_ERROR "manifest counters differ between --jobs 1 and --jobs 2:\n"
+                      "${counters_jobs1}\n--- vs ---\n${counters_jobs2}")
+endif()
+# Two of the three inputs parse; the poisoned one does not.
+string(JSON programs_parsed ERROR_VARIABLE parsed_error
+       GET "${manifest_text}" metrics counters xapk_programs_parsed)
+if(NOT programs_parsed EQUAL 2)
+  message(FATAL_ERROR "manifest xapk_programs_parsed must be 2, got "
+                      "'${programs_parsed}' ${parsed_error}")
+endif()
 
 # --- prometheus export -----------------------------------------------------
 if(NOT EXISTS "${prom}")

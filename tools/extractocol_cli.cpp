@@ -602,7 +602,9 @@ int main(int argc, char** argv) {
             log::set_status_line(line);
         };
     }
-    obs::MetricsSnapshot run_base = obs::MetricsRegistry::global().snapshot();
+    // The batch, the cache and eval count into this scope: the manifest's
+    // counters.
+    obs::RunScope run;
     std::uint64_t run_timestamp_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -638,6 +640,22 @@ int main(int argc, char** argv) {
         obs::gauge("mem.peak_bytes")
             .set(static_cast<std::int64_t>(support::memtrack::process_peak_bytes()));
     }
+
+    // Accuracy scoring runs sequentially in input order over the finished
+    // batch (oracle interpreter runs and matching are pure functions of the
+    // reports and the generated corpus), so table, sidecar, and manifest
+    // accuracy blocks are byte-identical for every --jobs value.
+    std::vector<eval::EvalResult> eval_results;
+    eval::FleetEval eval_fleet;
+    bool do_eval = eval_flag || eval_out_path != nullptr;
+    if (do_eval) {
+        eval_results.reserve(items.size());
+        for (const auto& item : items) eval_results.push_back(eval::evaluate_item(item));
+        eval_fleet = eval::aggregate(eval_results);
+        eval::record_metrics(eval_results, eval_fleet);
+    }
+    // Closed before --metrics and --metrics-prom read the registry.
+    auto run_counters = run.close();
 
     int exit_code = 0;
     text::Json batch = text::Json::array();
@@ -704,34 +722,17 @@ int main(int argc, char** argv) {
     if (as_json && paths.size() > 1) {
         std::printf("%s\n", batch.dump_pretty().c_str());
     }
-    // Accuracy scoring runs sequentially in input order over the finished
-    // batch (oracle interpreter runs and matching are pure functions of the
-    // reports and the generated corpus), so table, sidecar, and manifest
-    // accuracy blocks are byte-identical for every --jobs value.
-    std::vector<eval::EvalResult> eval_results;
-    eval::FleetEval eval_fleet;
-    bool do_eval = eval_flag || eval_out_path != nullptr;
-    if (do_eval) {
-        eval_results.reserve(items.size());
-        for (const auto& item : items) {
-            eval_results.push_back(eval::evaluate_item(item));
+    if (eval_flag) {
+        std::fprintf(stderr, "%s", eval::render_table(eval_results, eval_fleet).c_str());
+    }
+    if (eval_out_path) {
+        std::ofstream eval_out(eval_out_path);
+        if (!eval_out) {
+            std::fprintf(stderr, "error: cannot write evaluation to %s\n",
+                         eval_out_path);
+            return 1;
         }
-        eval_fleet = eval::aggregate(eval_results);
-        eval::record_metrics(eval_results, eval_fleet);
-        if (eval_flag) {
-            std::fprintf(stderr, "%s",
-                         eval::render_table(eval_results, eval_fleet).c_str());
-        }
-        if (eval_out_path) {
-            std::ofstream eval_out(eval_out_path);
-            if (!eval_out) {
-                std::fprintf(stderr, "error: cannot write evaluation to %s\n",
-                             eval_out_path);
-                return 1;
-            }
-            eval_out << eval::results_json(eval_results, eval_fleet).dump_pretty()
-                     << "\n";
-        }
+        eval_out << eval::results_json(eval_results, eval_fleet).dump_pretty() << "\n";
     }
     if (profile) {
         // stderr, like --stats/--metrics: stdout stays the report stream.
@@ -779,11 +780,11 @@ int main(int argc, char** argv) {
         telemetry.set_jobs(jobs);
         telemetry.set_timestamp_unix_ms(run_timestamp_ms);
         telemetry.set_run_wall_seconds(run_wall_seconds);
-        // Counter deltas over this run only; gauges/histograms ride along
-        // whole (the registry is process-global, so only deltas are
-        // attributable — same convention as per-report counters).
-        telemetry.set_metrics(
-            obs::MetricsRegistry::global().snapshot().delta_since(run_base));
+        // The run scope's counters; the registry's gauges and histograms
+        // ride along whole.
+        obs::MetricsSnapshot run_metrics = obs::MetricsRegistry::global().snapshot();
+        run_metrics.counters = std::move(run_counters);
+        telemetry.set_metrics(std::move(run_metrics));
         if (profile || profile_out_path) {
             telemetry.set_profile_summary(obs::Profiler::global().summary_json());
         }
