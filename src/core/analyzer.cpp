@@ -87,9 +87,10 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     obs::RunScope run;
     obs::Span analyze_span("analyze", "core");
 
-    // One pool serves both data-parallel stages (per-site slicing and
-    // per-transaction signature building). The caller participates, so the
-    // pool holds jobs-1 workers; jobs <= 1 keeps everything on this thread.
+    // One pool serves the three data-parallel stages (per-site slicing,
+    // per-transaction signature building, per-tap dependency probes). The
+    // caller participates, so the pool holds jobs-1 workers; jobs <= 1
+    // keeps everything on this thread.
     unsigned jobs = support::resolve_jobs(options_.jobs);
     support::ThreadPool pool(jobs > 1 ? jobs - 1 : 0);
 
@@ -333,7 +334,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // transaction set is already partial, and the phase's taint runs would
     // charge nothing (keeping the degraded report cheap is the point).
     std::vector<txn::Dependency> raw_edges;
-    if (!budget.exhausted()) raw_edges = deps.analyze(sliced);
+    if (!budget.exhausted()) raw_edges = deps.analyze(sliced, &pool);
     end_phase("txn", txn_span);
 
     // Deduplicate: one report transaction per distinct signature. The merge

@@ -62,12 +62,12 @@ private:
 // ------------------------------------------------------------ run scopes --
 // Run-scoped attribution (DESIGN.md §8), the one way work is attributed.
 // core::Analyzer::analyze opens one RunScope per run and enters one Unit per
-// parallel work item (a slicing site, a signature context) on whichever
-// pool thread runs it; analyze_batch does the same per input, the CLI opens
-// one scope over its whole run and the daemon one per request. While a
-// scope is innermost on a thread, adds to global-registry counters land in
-// it as plain integers keyed by counter, so a run counts exactly its own
-// work. Units fold into the run in index order, below the budget cut only.
+// parallel work item (a slicing site, a signature context, a dependency tap)
+// on whichever pool thread runs it; analyze_batch does the same per input,
+// the CLI opens one scope over its whole run and the daemon one per request.
+// While a scope is innermost on a thread, adds to global-registry counters
+// land in it as plain integers keyed by counter, so a run counts exactly its
+// own work. Units fold into the run in index order, below the budget cut only.
 // Scopes nest: a closing run folds into the scope enclosing it on its
 // thread, and only an outermost run folds into the registry, the exact
 // process aggregate.

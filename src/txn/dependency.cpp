@@ -1,9 +1,13 @@
 #include "txn/dependency.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/hash.hpp"
+#include "support/parallel.hpp"
 
 namespace extractocol::txn {
 
@@ -54,6 +58,19 @@ std::string source_name(SourceKind kind) {
     }
     return "";
 }
+
+/// Stable hash for the edge fold's dedup set.
+struct DependencyHash {
+    std::size_t operator()(const Dependency& d) const {
+        std::size_t seed = 0;
+        hash_combine(seed, d.from);
+        hash_combine(seed, d.to);
+        hash_combine(seed, d.response_field);
+        hash_combine(seed, d.request_field);
+        hash_combine(seed, d.via);
+        return seed;
+    }
+};
 
 }  // namespace
 
@@ -143,111 +160,173 @@ std::vector<DependencyAnalyzer::FieldTap> DependencyAnalyzer::response_taps(
 }
 
 std::vector<Dependency> DependencyAnalyzer::analyze(
-    const std::vector<SlicedTransaction>& txns) {
+    const std::vector<SlicedTransaction>& txns, support::ThreadPool* pool) {
     obs::Span span("txn.dependencies", "txn");
     obs::Counter& taps_probed = obs::counter("txn.response_taps");
-    std::vector<Dependency> edges;
-    auto add_edge = [&edges](Dependency edge) {
-        if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
-            edges.push_back(std::move(edge));
+
+    // Landing index: (statement, j) for every statement of request j's
+    // taint slice and for its DP site, sorted. A flow can only rank a
+    // landing in j at a call event on one of those statements, so the
+    // transactions its events hit are the only ones it can reach without a
+    // global channel.
+    std::vector<std::pair<StmtRef, std::size_t>> landing;
+    for (std::size_t j = 0; j < txns.size(); ++j) {
+        for (const StmtRef& stmt : txns[j].request_taint.statements) {
+            landing.emplace_back(stmt, j);
+        }
+        landing.emplace_back(txns[j].dp_site, j);
+    }
+    std::sort(landing.begin(), landing.end());
+    landing.erase(std::unique(landing.begin(), landing.end()), landing.end());
+
+    // One probe per (transaction, tap), in that order. Each probe writes
+    // only into its own slot and run unit, and both fold in probe order, so
+    // the edges and counters do not depend on which thread ran what.
+    struct Probe {
+        std::size_t from = 0;
+        FieldTap tap;
+    };
+    std::vector<Probe> probes;
+    for (std::size_t i = 0; i < txns.size(); ++i) {
+        if (txns[i].response_taint.statements.empty()) continue;
+        for (FieldTap& tap : response_taps(txns[i])) probes.push_back({i, std::move(tap)});
+    }
+    std::vector<std::vector<Dependency>> found(probes.size());
+    std::vector<obs::RunScope::Unit> units(probes.size());
+
+    auto probe = [&](std::size_t k) {
+        obs::RunScope::Enter unit(units[k]);
+        const std::size_t i = probes[k].from;
+        const FieldTap& tap = probes[k].tap;
+        taps_probed.add(1);
+        TaintSeed seed;
+        seed.stmt = tap.stmt;
+        seed.path = AccessPath::of_local(tap.value);
+        auto flow = engine_->run(Direction::kForward, {seed});
+
+        // Candidate request transactions, ascending. A flow that crossed a
+        // global channel can land in any of them as a bare "request" edge.
+        std::vector<std::size_t> candidates;
+        if (!flow.globals.empty()) {
+            candidates.resize(txns.size());
+            std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+        } else {
+            auto it = landing.begin();
+            for (const CallTaintEvent& event : flow.call_events) {
+                it = std::lower_bound(it, landing.end(), event.stmt,
+                                      [](const auto& entry, const StmtRef& stmt) {
+                                          return entry.first < stmt;
+                                      });
+                for (; it != landing.end() && it->first == event.stmt; ++it) {
+                    candidates.push_back(it->second);
+                }
+            }
+            std::sort(candidates.begin(), candidates.end());
+            candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                             candidates.end());
+        }
+
+        for (std::size_t j : candidates) {
+            if (j == i) continue;
+            const SlicedTransaction& req_txn = txns[j];
+
+            // The mediating channel, if the flow crossed one. Several
+            // channels can match; pick the lexicographically-smallest
+            // rendering so the reported channel never depends on hash-set
+            // iteration order (which is stdlib-specific).
+            std::string via;
+            for (const auto& g : flow.globals) {
+                for (const auto& h : req_txn.request_taint.globals) {
+                    if (h == g || h.has_prefix(g) || g.has_prefix(h)) {
+                        namespace in = support::intern;
+                        std::string channel =
+                            g.is_static()
+                                ? "static:" + std::string(in::str(g.static_class)) + "." +
+                                      std::string(in::str(g.key))
+                                : std::string(in::str(g.key));
+                        if (via.empty() || channel < via) via = std::move(channel);
+                        break;
+                    }
+                }
+            }
+
+            // Rank candidate landing sites; prefer the most specific.
+            std::string best;
+            int best_rank = -1;
+            auto consider = [&](std::string field, int rank) {
+                if (rank > best_rank) {
+                    best = std::move(field);
+                    best_rank = rank;
+                }
+            };
+            for (const CallTaintEvent& event : flow.call_events) {
+                bool at_dp = event.stmt == req_txn.dp_site;
+                bool in_request = req_txn.request_taint.contains(event.stmt);
+                if (!at_dp && !in_request) continue;
+                const auto* call = std::get_if<Invoke>(&program_->statement(event.stmt));
+                if (!call) continue;
+                bool arg1_tainted = event.args_tainted.size() > 1 && event.args_tainted[1];
+                bool arg0_tainted = !event.args_tainted.empty() && event.args_tainted[0];
+                const ApiModel* api =
+                    model_->api(call->callee.class_name, call->callee.method_name);
+                SigAction action = api ? api->action : SigAction::kNone;
+                switch (action) {
+                    case SigAction::kNameValuePairInit:
+                    case SigAction::kJsonPut:
+                    case SigAction::kContentValuesPut:
+                    case SigAction::kMapPut: {
+                        const std::string* key = const_string_arg(*call, 0);
+                        if (key && arg1_tainted) consider("body:" + *key, 3);
+                        break;
+                    }
+                    case SigAction::kHttpSetHeader:
+                    case SigAction::kOkHeader: {
+                        const std::string* name = const_string_arg(*call, 0);
+                        if (name && arg1_tainted) consider("header:" + *name, 3);
+                        break;
+                    }
+                    case SigAction::kAppend:
+                    case SigAction::kStringConcat:
+                    case SigAction::kUrlInit:
+                    case SigAction::kOkUrl:
+                    case SigAction::kHttpRequestInit:
+                        if (arg0_tainted) consider("uri", 2);
+                        break;
+                    default:
+                        if (at_dp && (arg0_tainted || event.base_tainted)) {
+                            consider("uri", 1);
+                        }
+                        break;
+                }
+            }
+            if (best_rank >= 0) {
+                found[k].push_back({i, j, tap.field, std::move(best), std::move(via)});
+            } else if (!via.empty()) {
+                found[k].push_back({i, j, tap.field, "request", std::move(via)});
+            }
         }
     };
 
-    for (std::size_t i = 0; i < txns.size(); ++i) {
-        const SlicedTransaction& resp_txn = txns[i];
-        if (resp_txn.response_taint.statements.empty()) continue;
-        for (const FieldTap& tap : response_taps(resp_txn)) {
-            taps_probed.add(1);
-            TaintSeed seed;
-            seed.stmt = tap.stmt;
-            seed.path = AccessPath::of_local(tap.value);
-            auto flow = engine_->run(Direction::kForward, {seed});
+    // The probes' units fold through a scope nested in the caller's, so the
+    // caller's run counts their work whichever thread did it.
+    obs::RunScope scope;
+    if (pool != nullptr) {
+        pool->for_each_index(probes.size(), probe);
+    } else {
+        for (std::size_t k = 0; k < probes.size(); ++k) probe(k);
+    }
+    scope.fold(units, units.size());
 
-            for (std::size_t j = 0; j < txns.size(); ++j) {
-                if (j == i) continue;
-                const SlicedTransaction& req_txn = txns[j];
-
-                // The mediating channel, if the flow crossed one. Several
-                // channels can match; pick the lexicographically-smallest
-                // rendering so the reported channel never depends on
-                // hash-set iteration order (which is stdlib-specific).
-                std::string via;
-                for (const auto& g : flow.globals) {
-                    for (const auto& h : req_txn.request_taint.globals) {
-                        if (h == g || h.has_prefix(g) || g.has_prefix(h)) {
-                            namespace in = support::intern;
-                            std::string channel =
-                                g.is_static()
-                                    ? "static:" + std::string(in::str(g.static_class)) +
-                                          "." + std::string(in::str(g.key))
-                                    : std::string(in::str(g.key));
-                            if (via.empty() || channel < via) via = std::move(channel);
-                            break;
-                        }
-                    }
-                }
-
-                // Rank candidate landing sites; prefer the most specific.
-                std::string best;
-                int best_rank = -1;
-                auto consider = [&](std::string field, int rank) {
-                    if (rank > best_rank) {
-                        best = std::move(field);
-                        best_rank = rank;
-                    }
-                };
-                for (const CallTaintEvent& event : flow.call_events) {
-                    bool at_dp = event.stmt == req_txn.dp_site;
-                    bool in_request = req_txn.request_taint.contains(event.stmt);
-                    if (!at_dp && !in_request) continue;
-                    const auto* call =
-                        std::get_if<Invoke>(&program_->statement(event.stmt));
-                    if (!call) continue;
-                    bool arg1_tainted =
-                        event.args_tainted.size() > 1 && event.args_tainted[1];
-                    bool arg0_tainted =
-                        !event.args_tainted.empty() && event.args_tainted[0];
-                    const ApiModel* api =
-                        model_->api(call->callee.class_name, call->callee.method_name);
-                    SigAction action = api ? api->action : SigAction::kNone;
-                    switch (action) {
-                        case SigAction::kNameValuePairInit:
-                        case SigAction::kJsonPut:
-                        case SigAction::kContentValuesPut:
-                        case SigAction::kMapPut: {
-                            const std::string* key = const_string_arg(*call, 0);
-                            if (key && arg1_tainted) consider("body:" + *key, 3);
-                            break;
-                        }
-                        case SigAction::kHttpSetHeader:
-                        case SigAction::kOkHeader: {
-                            const std::string* name = const_string_arg(*call, 0);
-                            if (name && arg1_tainted) consider("header:" + *name, 3);
-                            break;
-                        }
-                        case SigAction::kAppend:
-                        case SigAction::kStringConcat:
-                        case SigAction::kUrlInit:
-                        case SigAction::kOkUrl:
-                        case SigAction::kHttpRequestInit:
-                            if (arg0_tainted) consider("uri", 2);
-                            break;
-                        default:
-                            if (at_dp && (arg0_tainted || event.base_tainted)) {
-                                consider("uri", 1);
-                            }
-                            break;
-                    }
-                }
-                if (best_rank >= 0) {
-                    add_edge({i, j, tap.field, best, via});
-                } else if (!via.empty()) {
-                    add_edge({i, j, tap.field, "request", via});
-                }
-            }
+    // Fold the slots in probe order; the first occurrence of an edge wins.
+    std::vector<Dependency> edges;
+    std::unordered_set<Dependency, DependencyHash> seen;
+    for (auto& slot : found) {
+        for (Dependency& edge : slot) {
+            if (seen.insert(edge).second) edges.push_back(std::move(edge));
         }
     }
     obs::counter("txn.pairings").add(edges.size());
+    (void)scope.close();
     return edges;
 }
 

@@ -5,6 +5,16 @@
 // which earlier response fields — at field granularity, through direct data
 // flow, heap objects, statics, SQLite tables, and preferences.
 //
+// Each response field tap runs one forward taint. The taps are probed in
+// (transaction, tap) order on the analysis pool, slicing and signature
+// building being the other parallel stages (DESIGN.md §8). A probe
+// checks only the request transactions whose slice statements or DP site
+// its tainted calls hit, looked up in a statement index built once per
+// analyze() call; a flow that crossed a global channel checks them all.
+// Each probe writes its edges into its own slot and counts into its own
+// run unit; both fold in probe order, edges deduplicated by hash, so the
+// edges and counters are the same at any thread count.
+//
 // It also characterizes behavior: how response data is consumed (media
 // player / image view / file / DB) and where request data originates
 // (microphone / location / user input) — §2's application-aware knobs.
@@ -17,6 +27,10 @@
 #include "slicing/slicer.hpp"
 #include "taint/engine.hpp"
 #include "xir/callgraph.hpp"
+
+namespace extractocol::support {
+class ThreadPool;
+}  // namespace extractocol::support
 
 namespace extractocol::txn {
 
@@ -48,9 +62,12 @@ public:
     DependencyAnalyzer(const xir::Program& program, const xir::CallGraph& callgraph,
                        const semantics::SemanticModel& model, taint::TaintEngine& engine);
 
-    /// Infers all dependency edges among the given transactions.
+    /// Infers all dependency edges among the given transactions. The
+    /// response taps run on `pool` when one is given, inline otherwise;
+    /// the edges and counters are the same either way.
     [[nodiscard]] std::vector<Dependency> analyze(
-        const std::vector<slicing::SlicedTransaction>& txns);
+        const std::vector<slicing::SlicedTransaction>& txns,
+        support::ThreadPool* pool = nullptr);
 
     /// Behavior characterization for one transaction.
     [[nodiscard]] BehaviorTags tags(const slicing::SlicedTransaction& txn) const;
