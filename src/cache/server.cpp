@@ -84,6 +84,10 @@ struct ConnectionSet {
         std::lock_guard<std::mutex> lock(mutex);
         fds.erase(std::remove(fds.begin(), fds.end(), fd), fds.end());
     }
+    std::int64_t active() {
+        std::lock_guard<std::mutex> lock(mutex);
+        return static_cast<std::int64_t>(fds.size());
+    }
     void shutdown_all() {
         std::lock_guard<std::mutex> lock(mutex);
         // SHUT_RDWR unblocks any read()/write() in flight; the connection
@@ -158,14 +162,14 @@ struct ServerState {
     /// One id per accepted connection, so the last one handed out is also
     /// the count of connections accepted.
     std::atomic<std::uint64_t> next_connection_id{0};
-    obs::Gauge* connections_active = nullptr;
-    obs::Gauge* requests_inflight = nullptr;
+    ConnectionSet connections;
 };
 
 /// The status op's document (see server.hpp). Volatile fields — pid,
 /// uptime, ids, latency measurements — are what the determinism test
 /// normalizes; everything else is a function of the requests served.
 text::Json status_json(ServerState& state) {
+    const obs::RequestStats stats = state.telemetry->snapshot();
     text::Json doc = text::Json::object();
     doc.set("analyzer", text::Json(std::string(core::kAnalyzerVersion)));
     doc.set("pid", text::Json(static_cast<std::int64_t>(::getpid())));
@@ -175,22 +179,20 @@ text::Json status_json(ServerState& state) {
     doc.set("uptime_seconds", text::Json(uptime));
 
     text::Json requests = text::Json::object();
-    auto count = [&state](const char* name) {
-        return text::Json(static_cast<std::int64_t>(state.telemetry->counter(name)));
-    };
-    requests.set("served", count("daemon.requests"));
-    requests.set("errors", count("daemon.request_errors"));
+    auto count = [](std::uint64_t n) { return text::Json(static_cast<std::int64_t>(n)); };
+    requests.set("served", count(stats.counter("daemon.requests")));
+    requests.set("errors", count(stats.counter("daemon.request_errors")));
     // The request asking is itself still in flight, so this is >= 1.
-    requests.set("inflight", text::Json(state.requests_inflight->value()));
+    requests.set("inflight", text::Json(stats.inflight));
     text::Json ops = text::Json::object();
-    for (const auto& [op, count] : state.telemetry->op_tally()) {
+    for (const auto& [op, count] : stats.ops) {
         ops.set(op, text::Json(static_cast<std::int64_t>(count)));
     }
     requests.set("ops", std::move(ops));
     doc.set("requests", std::move(requests));
 
     text::Json connections = text::Json::object();
-    connections.set("active", text::Json(state.connections_active->value()));
+    connections.set("active", text::Json(state.connections.active()));
     connections.set("accepted",
                     text::Json(static_cast<std::int64_t>(
                         state.next_connection_id.load(std::memory_order_relaxed))));
@@ -200,21 +202,15 @@ text::Json status_json(ServerState& state) {
     doc.set("connections", std::move(connections));
 
     text::Json latency = text::Json::object();
-    latency.set("window_seconds", text::Json(state.telemetry->window_seconds()));
-    latency.set("lifetime",
-                obs::histogram_stats_json(state.telemetry->latency_lifetime_ms()));
-    latency.set("window",
-                obs::histogram_stats_json(state.telemetry->latency_window_ms()));
+    latency.set("window_seconds", text::Json(stats.window_seconds));
+    latency.set("lifetime", obs::histogram_stats_json(stats.latency_ms));
+    latency.set("window", obs::histogram_stats_json(stats.window.latency_ms));
     doc.set("latency_ms", std::move(latency));
 
     if (state.cache != nullptr) {
         text::Json cache = state.cache->stats_json();
-        cache.set("window_hits",
-                  text::Json(static_cast<std::int64_t>(
-                      state.telemetry->window_cache_hits())));
-        cache.set("window_misses",
-                  text::Json(static_cast<std::int64_t>(
-                      state.telemetry->window_cache_misses())));
+        cache.set("window_hits", count(stats.window.hits));
+        cache.set("window_misses", count(stats.window.misses));
         doc.set("cache", std::move(cache));
     } else {
         doc.set("cache", text::Json());
@@ -337,10 +333,10 @@ Reply handle_request(ServerState& state, const std::string& line, bool& shutdown
                 return error_response(id,
                                    "bad request: unknown metrics format '" + format + "'");
             }
-            // This daemon's counters, next to the registry's live gauges
-            // and histograms.
-            obs::MetricsSnapshot metrics = obs::MetricsRegistry::global().snapshot();
-            metrics.counters = state.telemetry->counters();
+            // This daemon's counters and series, next to the registry's
+            // live gauges and histograms.
+            obs::MetricsSnapshot metrics = state.telemetry->snapshot().merged_into(
+                obs::MetricsRegistry::global().snapshot(), state.connections.active());
             response.set("ok", text::Json(true));
             response.set("format", text::Json(format));
             if (format == "prometheus") {
@@ -447,7 +443,6 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
     record.request_id = state.telemetry->next_request_id();
     record.connection_id = connection_id;
     record.op = "invalid";
-    state.requests_inflight->add(1);
     // Every counter the request bumps, on this thread or on the analysis
     // workers, lands in this scope and from there in the daemon's tally.
     obs::RunScope scope;
@@ -497,14 +492,12 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
                 .kv("phases", phase_breakdown(record.phases))
             << "daemon: slow request";
     }
-    state.requests_inflight->add(-1);
     return payload;
 }
 
-void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
+void serve_connection(ServerState& state, int fd) {
     std::uint64_t connection_id =
         state.next_connection_id.fetch_add(1, std::memory_order_relaxed) + 1;
-    state.connections_active->add(1);
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     if (tracer.enabled()) {
         // One labeled Perfetto row per connection, so request spans carry
@@ -548,8 +541,7 @@ void serve_connection(ServerState& state, ConnectionSet& connections, int fd) {
         // A "line" past the cap with no newline is not a protocol client.
         if (dead || buffer.size() > kMaxRequestBytes) break;
     }
-    state.connections_active->add(-1);
-    connections.remove(fd);
+    state.connections.remove(fd);
     ::close(fd);
 }
 
@@ -642,10 +634,7 @@ int serve(const ServeOptions& options) {
     state.journal = journal.get();
     state.slow_ms = options.slow_ms;
     state.started = std::chrono::steady_clock::now();
-    state.connections_active = &obs::gauge("daemon.connections.active");
-    state.requests_inflight = &obs::gauge("daemon.requests.inflight");
 
-    ConnectionSet connections;
     WorkerSet workers;
     const std::string busy =
         error_response(nullptr, "busy: " + std::to_string(kMaxConnections) +
@@ -673,7 +662,7 @@ int serve(const ServeOptions& options) {
             if (errno == EINTR) continue;
             break;
         }
-        if (!connections.try_add(conn)) {
+        if (!state.connections.try_add(conn)) {
             // Over the cap: one error line, then close. The send never
             // blocks the accept loop; the line fits an empty socket buffer.
             state.connections_rejected.fetch_add(1, std::memory_order_relaxed);
@@ -682,8 +671,8 @@ int serve(const ServeOptions& options) {
             ::close(conn);
             continue;
         }
-        workers.add(std::thread([&state, &connections, &workers, conn] {
-            serve_connection(state, connections, conn);
+        workers.add(std::thread([&state, &workers, conn] {
+            serve_connection(state, conn);
             workers.mark_finished(std::this_thread::get_id());
         }));
     }
@@ -691,7 +680,7 @@ int serve(const ServeOptions& options) {
     // Clean shutdown: stop accepting, unblock in-flight connections, drain.
     ::close(listen_fd);
     ::unlink(path.c_str());
-    connections.shutdown_all();
+    state.connections.shutdown_all();
     workers.join_all();
     ::sigaction(SIGTERM, &old_term, nullptr);
     ::sigaction(SIGINT, &old_int, nullptr);
@@ -700,19 +689,20 @@ int serve(const ServeOptions& options) {
     g_wake_fd.compare_exchange_strong(own_wake_fd, -1);
     ::close(wake[0]);
     ::close(wake[1]);
+    const obs::RequestStats stats = telemetry.snapshot();
     if (cache) {
         CacheStats s = cache->stats();
         log::info()
-                .kv("requests", telemetry.counter("daemon.requests"))
-                .kv("errors", telemetry.counter("daemon.request_errors"))
+                .kv("requests", stats.counter("daemon.requests"))
+                .kv("errors", stats.counter("daemon.request_errors"))
                 .kv("hits", s.hits)
                 .kv("misses", s.misses)
                 .kv("corrupt_entries", s.corrupt_entries)
             << "cache: daemon stopped";
     } else {
         log::info()
-                .kv("requests", telemetry.counter("daemon.requests"))
-                .kv("errors", telemetry.counter("daemon.request_errors"))
+                .kv("requests", stats.counter("daemon.requests"))
+                .kv("errors", stats.counter("daemon.request_errors"))
             << "cache: daemon stopped";
     }
     return 0;

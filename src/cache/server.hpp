@@ -28,8 +28,8 @@
 // Observability: every request gets a monotonic id, runs inside its own
 // obs::RunScope, and becomes one obs::AppRunRecord — op, cache key,
 // hit/miss, error, wall + per-phase seconds, response bytes — folded into
-// live telemetry (per-daemon tallies plus sliding-window registry
-// instruments under `daemon.*`), optionally appended to a JSONL access
+// the daemon's own obs::RequestTelemetry (tallies, lifetime latency and a
+// one-minute sliding window), optionally appended to a JSONL access
 // journal (--journal, size-rotated), and logged with a per-phase breakdown
 // when slower than --slow-ms. The admin plane rides the same protocol:
 //
@@ -38,11 +38,13 @@
 //   -> {"op": "metrics", "format": "json"}   <- {"ok":true,"metrics":{...}}
 //   -> {"op": "health"}                      <- {"ok":true,"healthy":true}
 //
-// The metrics op's counters are this daemon's tally of its requests' scope
-// counts, so they are a function of the requests served, not of whatever
-// else runs in the process; gauges and histograms are the registry's. When
-// tracing is on, each request records a "request.<op>" trace span on its
-// connection's thread ("conn-<n>").
+// Every daemon.* figure the status and metrics ops report — the counter
+// tally of its requests' scope counts, the windows, latency, in-flight
+// requests and open connections — belongs to this daemon alone, read in
+// one snapshot, so it is a function of the requests it served, not of
+// whatever else runs in the process. The metrics op adds the registry's
+// other gauges and histograms. When tracing is on, each request records a
+// "request.<op>" trace span on its connection's thread ("conn-<n>").
 #pragma once
 
 #include <cstdint>

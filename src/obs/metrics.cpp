@@ -67,106 +67,6 @@ void HistogramStats::merge_from(const HistogramStats& other) {
     for (std::size_t i = 0; i < kBucketCount; ++i) buckets[i] += other.buckets[i];
 }
 
-// ------------------------------------------------ windowed instruments --
-
-WindowedCounter::WindowedCounter(Clock::duration bucket_width,
-                                 std::size_t bucket_count)
-    : width_(bucket_width), epoch_(Clock::now()), slots_(bucket_count) {}
-
-std::int64_t WindowedCounter::tick_of(Clock::time_point t) const {
-    if (t <= epoch_) return 0;
-    return (t - epoch_) / width_;
-}
-
-void WindowedCounter::add_at(std::uint64_t n, Clock::time_point t) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::int64_t tick = tick_of(t);
-    Slot& slot = slots_[static_cast<std::size_t>(tick) % slots_.size()];
-    if (slot.tick != tick) {
-        // The slot last served a time slice at least one full window ago —
-        // its samples have expired; recycle it for the current slice.
-        slot.tick = tick;
-        slot.value = 0;
-    }
-    slot.value += n;
-    lifetime_ += n;
-}
-
-std::uint64_t WindowedCounter::lifetime() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lifetime_;
-}
-
-std::uint64_t WindowedCounter::in_window_at(Clock::time_point t) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::int64_t tick = tick_of(t);
-    std::int64_t oldest = tick - static_cast<std::int64_t>(slots_.size()) + 1;
-    std::uint64_t total = 0;
-    for (const Slot& slot : slots_) {
-        if (slot.tick >= oldest && slot.tick <= tick) total += slot.value;
-    }
-    return total;
-}
-
-double WindowedCounter::window_seconds() const {
-    return std::chrono::duration<double>(width_).count() *
-           static_cast<double>(slots_.size());
-}
-
-void WindowedCounter::reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lifetime_ = 0;
-    for (Slot& slot : slots_) slot = Slot{};
-}
-
-WindowedHistogram::WindowedHistogram(Clock::duration bucket_width,
-                                     std::size_t bucket_count)
-    : width_(bucket_width), epoch_(Clock::now()), slots_(bucket_count) {}
-
-std::int64_t WindowedHistogram::tick_of(Clock::time_point t) const {
-    if (t <= epoch_) return 0;
-    return (t - epoch_) / width_;
-}
-
-void WindowedHistogram::observe_at(double sample, Clock::time_point t) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::int64_t tick = tick_of(t);
-    Slot& slot = slots_[static_cast<std::size_t>(tick) % slots_.size()];
-    if (slot.tick != tick) {
-        slot.tick = tick;
-        slot.stats = HistogramStats{};
-    }
-    slot.stats.observe(sample);
-    lifetime_.observe(sample);
-}
-
-HistogramStats WindowedHistogram::lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lifetime_;
-}
-
-HistogramStats WindowedHistogram::window_stats_at(Clock::time_point t) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::int64_t tick = tick_of(t);
-    std::int64_t oldest = tick - static_cast<std::int64_t>(slots_.size()) + 1;
-    HistogramStats merged;
-    for (const Slot& slot : slots_) {
-        if (slot.tick >= oldest && slot.tick <= tick) merged.merge_from(slot.stats);
-    }
-    return merged;
-}
-
-double WindowedHistogram::window_seconds() const {
-    return std::chrono::duration<double>(width_).count() *
-           static_cast<double>(slots_.size());
-}
-
-void WindowedHistogram::reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    lifetime_ = HistogramStats{};
-    for (Slot& slot : slots_) slot = Slot{};
-}
-
 // ------------------------------------------------------------- snapshot --
 
 namespace {
@@ -369,29 +269,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
     return *histograms_.back().second;
 }
 
-WindowedCounter& MetricsRegistry::windowed_counter(std::string_view name) {
-    auto lock = acquire();
-    for (auto& [n, v] : windowed_counters_) {
-        if (n == name) return *v;
-    }
-    windowed_counters_.emplace_back(
-        std::string(name), std::unique_ptr<WindowedCounter>(new WindowedCounter(
-                               kWindowBucketWidth, kWindowBucketCount)));
-    return *windowed_counters_.back().second;
-}
-
-WindowedHistogram& MetricsRegistry::windowed_histogram(std::string_view name) {
-    auto lock = acquire();
-    for (auto& [n, v] : windowed_histograms_) {
-        if (n == name) return *v;
-    }
-    windowed_histograms_.emplace_back(
-        std::string(name),
-        std::unique_ptr<WindowedHistogram>(
-            new WindowedHistogram(kWindowBucketWidth, kWindowBucketCount)));
-    return *windowed_histograms_.back().second;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot out;
     {
@@ -400,20 +277,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         for (const auto& [name, g] : gauges_) out.gauges.emplace_back(name, g->value());
         for (const auto& [name, h] : histograms_) {
             out.histograms.emplace_back(name, h->stats());
-        }
-        // Windowed instruments render twice: lifetime under their own name,
-        // the sliding-window merge under "<name>.window". The window count
-        // can shrink as buckets expire, so it exports as a gauge; windowed
-        // histograms reuse the plain-histogram rendering (and with it the
-        // count=0 / null-percentile contract once the window slides empty).
-        for (const auto& [name, w] : windowed_counters_) {
-            out.counters.emplace_back(name, w->lifetime());
-            out.gauges.emplace_back(name + ".window",
-                                    static_cast<std::int64_t>(w->in_window()));
-        }
-        for (const auto& [name, w] : windowed_histograms_) {
-            out.histograms.emplace_back(name, w->lifetime_stats());
-            out.histograms.emplace_back(name + ".window", w->window_stats());
         }
     }
     // Synthetic lock-contention gauges, reported even at zero so the key set
@@ -437,8 +300,6 @@ void MetricsRegistry::reset() {
     for (auto& [name, c] : counters_) c->reset();
     for (auto& [name, g] : gauges_) g->reset();
     for (auto& [name, h] : histograms_) h->reset();
-    for (auto& [name, w] : windowed_counters_) w->reset();
-    for (auto& [name, w] : windowed_histograms_) w->reset();
     lock_waits_.store(0, std::memory_order_relaxed);
     lock_wait_ns_.store(0, std::memory_order_relaxed);
 }

@@ -4,10 +4,16 @@
 //   * Counter   — monotonically increasing event count;
 //   * Gauge     — last-written signed value;
 //   * Histogram — count/sum/min/max summary of observed samples.
+// That is all it holds: a --serve daemon's request figures (its windows,
+// in-flight and connection counts) live in that daemon's own
+// obs::RequestTelemetry (telemetry.hpp), never here.
 //
 // Hot-loop protocol: acquire the instrument ONCE outside the loop
 // (`obs::Counter& c = obs::counter("taint.worklist_iterations");`) and call
-// `c.add()` inside. Acquisition takes the registry lock and may allocate.
+// `c.add()` inside. Acquisition takes the registry lock, scans the names
+// and may allocate, so a function that runs per app, per site or per build
+// acquires its fixed-name instruments once too (a function-local
+// `static obs::Counter&`).
 // An `add()` of a global-registry counter inside a RunScope (below) lands
 // in that scope as a plain integer add and reaches the registry when the
 // outermost scope closes; outside any scope it is one relaxed atomic
@@ -204,13 +210,13 @@ struct HistogramStats {
     /// Bucket index for a sample (shared by observe() and tests).
     [[nodiscard]] static std::size_t bucket_index(double sample);
 
-    /// Adds one sample; every histogram flavor and the run manifest's
-    /// fleet latency take their samples through here.
+    /// Adds one sample; histograms, the daemon's request latency and the
+    /// run manifest's fleet latency take their samples through here.
     void observe(double sample);
 
     /// Folds another summary into this one: counts and bucket tallies add,
-    /// min/max widen. The merge a sliding window performs over its live
-    /// buckets on every read; also usable by any caller combining summaries.
+    /// min/max widen. The daemon's sliding window merges its live slots
+    /// through here on every read.
     void merge_from(const HistogramStats& other);
 };
 
@@ -228,91 +234,6 @@ private:
     Histogram() = default;
     mutable std::mutex mutex_;
     HistogramStats stats_;
-};
-
-// ------------------------------------------------ windowed instruments --
-// A long-lived process (the --serve daemon) cannot answer "how is it going
-// NOW" from lifetime instruments: a histogram that has accumulated for a
-// week reports week-old p99s. Windowed instruments keep a ring of N
-// fixed-duration buckets (default 12 x 5s = a one-minute sliding window);
-// writes land in the bucket of the current time slice, reads merge every
-// bucket still inside the window, and expired buckets are recycled lazily
-// on the next write that lands in their slot. Both flavors also keep the
-// plain lifetime aggregate, so one instrument answers "last minute" and
-// "since start" together.
-//
-// The *_at overloads take an explicit timestamp so tests can drive the ring
-// deterministically; production callers use the steady_clock defaults.
-
-class WindowedCounter {
-public:
-    using Clock = std::chrono::steady_clock;
-
-    void add(std::uint64_t n = 1) { add_at(n, Clock::now()); }
-    void add_at(std::uint64_t n, Clock::time_point t);
-    /// Total since construction/reset (a monotone counter).
-    [[nodiscard]] std::uint64_t lifetime() const;
-    /// Sum over the buckets still inside the sliding window.
-    [[nodiscard]] std::uint64_t in_window() const { return in_window_at(Clock::now()); }
-    [[nodiscard]] std::uint64_t in_window_at(Clock::time_point t) const;
-    /// Width of the full window (bucket width x bucket count) in seconds.
-    [[nodiscard]] double window_seconds() const;
-    void reset();
-
-    WindowedCounter(const WindowedCounter&) = delete;
-    WindowedCounter& operator=(const WindowedCounter&) = delete;
-
-private:
-    friend class MetricsRegistry;
-    WindowedCounter(Clock::duration bucket_width, std::size_t bucket_count);
-    [[nodiscard]] std::int64_t tick_of(Clock::time_point t) const;
-
-    struct Slot {
-        std::int64_t tick = -1;  // -1 = never written
-        std::uint64_t value = 0;
-    };
-    mutable std::mutex mutex_;
-    Clock::duration width_;
-    Clock::time_point epoch_;
-    std::uint64_t lifetime_ = 0;
-    std::vector<Slot> slots_;
-};
-
-class WindowedHistogram {
-public:
-    using Clock = std::chrono::steady_clock;
-
-    void observe(double sample) { observe_at(sample, Clock::now()); }
-    void observe_at(double sample, Clock::time_point t);
-    /// Summary since construction/reset.
-    [[nodiscard]] HistogramStats lifetime_stats() const;
-    /// Merged summary of the buckets still inside the sliding window;
-    /// count==0 (the null-percentile rendering contract) once the window
-    /// has fully slid past the last sample.
-    [[nodiscard]] HistogramStats window_stats() const {
-        return window_stats_at(Clock::now());
-    }
-    [[nodiscard]] HistogramStats window_stats_at(Clock::time_point t) const;
-    [[nodiscard]] double window_seconds() const;
-    void reset();
-
-    WindowedHistogram(const WindowedHistogram&) = delete;
-    WindowedHistogram& operator=(const WindowedHistogram&) = delete;
-
-private:
-    friend class MetricsRegistry;
-    WindowedHistogram(Clock::duration bucket_width, std::size_t bucket_count);
-    [[nodiscard]] std::int64_t tick_of(Clock::time_point t) const;
-
-    struct Slot {
-        std::int64_t tick = -1;
-        HistogramStats stats;
-    };
-    mutable std::mutex mutex_;
-    Clock::duration width_;
-    Clock::time_point epoch_;
-    HistogramStats lifetime_;
-    std::vector<Slot> slots_;
 };
 
 /// Sanitizes a dot-scoped instrument name for Prometheus exposition:
@@ -364,23 +285,10 @@ public:
     /// The process-wide registry used by the pipeline instrumentation.
     static MetricsRegistry& global();
 
-    /// Default sliding-window geometry for windowed instruments: 12 buckets
-    /// of 5 seconds = a one-minute window merged on read.
-    static constexpr std::size_t kWindowBucketCount = 12;
-    static constexpr std::chrono::seconds kWindowBucketWidth{5};
-
     /// Finds or creates the named instrument.
     Counter& counter(std::string_view name);
     Gauge& gauge(std::string_view name);
     Histogram& histogram(std::string_view name);
-    /// Windowed instruments render into the snapshot twice: the lifetime
-    /// aggregate under the instrument's own name (a counter / histogram) and
-    /// the sliding-window merge under "<name>.window" (a gauge, since the
-    /// windowed count can shrink / a histogram). Names must not collide with
-    /// plain instruments — the daemon scopes its own under `daemon.`.
-    WindowedCounter& windowed_counter(std::string_view name);
-    WindowedHistogram& windowed_histogram(std::string_view name);
-
     /// The snapshot always ends with two synthetic gauges,
     /// `obs.registry.lock_waits` / `obs.registry.lock_wait_us`: how often
     /// (and for how long) instrument acquisition or snapshotting blocked on
@@ -401,10 +309,6 @@ private:
     std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
     std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
     std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
-    std::vector<std::pair<std::string, std::unique_ptr<WindowedCounter>>>
-        windowed_counters_;
-    std::vector<std::pair<std::string, std::unique_ptr<WindowedHistogram>>>
-        windowed_histograms_;
 };
 
 // Global-registry shorthands used at instrumentation sites.

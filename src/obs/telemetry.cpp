@@ -69,30 +69,75 @@ text::Json AppRunRecord::journal_json() const {
     return obj;
 }
 
-RequestTelemetry::RequestTelemetry()
-    : latency_ms_(&MetricsRegistry::global().windowed_histogram("daemon.request_ms")),
-      requests_(&MetricsRegistry::global().windowed_counter("daemon.requests")),
-      request_errors_(&MetricsRegistry::global().windowed_counter("daemon.request_errors")),
-      cache_hits_(&MetricsRegistry::global().windowed_counter("daemon.cache.hits")),
-      cache_misses_(&MetricsRegistry::global().windowed_counter("daemon.cache.misses")) {}
+void RequestWindow::merge_from(const RequestWindow& other) {
+    requests += other.requests;
+    errors += other.errors;
+    hits += other.hits;
+    misses += other.misses;
+    latency_ms.merge_from(other.latency_ms);
+}
+
+std::uint64_t RequestStats::counter(std::string_view name) const {
+    for (const auto& [n, value] : counters) {
+        if (n == name) return value;
+    }
+    return 0;
+}
+
+MetricsSnapshot RequestStats::merged_into(MetricsSnapshot registry,
+                                          std::int64_t connections_active) const {
+    registry.counters = counters;
+    auto& gauges = registry.gauges;
+    auto i64 = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+    gauges.emplace_back("daemon.connections.active", connections_active);
+    gauges.emplace_back("daemon.requests.inflight", inflight);
+    // The window tallies shrink as slots expire, so they are gauges.
+    gauges.emplace_back("daemon.requests.window", i64(window.requests));
+    gauges.emplace_back("daemon.request_errors.window", i64(window.errors));
+    gauges.emplace_back("daemon.cache.hits.window", i64(window.hits));
+    gauges.emplace_back("daemon.cache.misses.window", i64(window.misses));
+    registry.histograms.emplace_back("daemon.request_ms", latency_ms);
+    registry.histograms.emplace_back("daemon.request_ms.window", window.latency_ms);
+    auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+    std::sort(registry.gauges.begin(), registry.gauges.end(), by_name);
+    std::sort(registry.histograms.begin(), registry.histograms.end(), by_name);
+    return registry;
+}
 
 std::uint64_t RequestTelemetry::next_request_id() {
+    inflight_.fetch_add(1, std::memory_order_relaxed);
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void RequestTelemetry::record(
+std::int64_t RequestTelemetry::tick_of(Clock::time_point t) const {
+    if (t <= epoch_) return 0;
+    return (t - epoch_) / kSlotWidth;
+}
+
+void RequestTelemetry::record_at(
     const AppRunRecord& record,
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+    const std::vector<std::pair<std::string, std::uint64_t>>& counters,
+    Clock::time_point now) {
     const bool failed = !record.error.empty();
     // Hits and misses count lookups: admin ops, requests that failed before
     // reaching the cache and daemons without one carry no key.
     const bool looked_up = !record.key.empty();
-    requests_->add(1);
-    if (failed) request_errors_->add(1);
-    if (looked_up) (record.cached ? cache_hits_ : cache_misses_)->add(1);
-    latency_ms_->observe(record.wall_seconds * 1000.0);
+    const double ms = record.wall_seconds * 1000.0;
+    const std::int64_t tick = tick_of(now);
 
     std::lock_guard<std::mutex> lock(mutex_);
+    Slot& slot = ring_[static_cast<std::size_t>(tick) % kWindowSlots];
+    if (slot.tick != tick) {
+        // The slot last served a time slice at least one full window ago:
+        // its figures have expired, so it is recycled for this slice.
+        slot = Slot{tick, {}};
+    }
+    slot.figures.requests += 1;
+    if (failed) slot.figures.errors += 1;
+    if (looked_up) (record.cached ? slot.figures.hits : slot.figures.misses) += 1;
+    slot.figures.latency_ms.observe(ms);
+    latency_ms_.observe(ms);
+
     tally(ops_, record.op);
     tally(counters_, "daemon.requests");
     if (failed) tally(counters_, "daemon.request_errors");
@@ -100,44 +145,24 @@ void RequestTelemetry::record(
         tally(counters_, record.cached ? "daemon.cache.hits" : "daemon.cache.misses");
     }
     for (const auto& [name, n] : counters) tally(counters_, name, n);
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> RequestTelemetry::op_tally() const {
+RequestStats RequestTelemetry::snapshot_at(Clock::time_point now) const {
+    const std::int64_t tick = tick_of(now);
+    const std::int64_t oldest = tick - static_cast<std::int64_t>(kWindowSlots) + 1;
+    RequestStats out;
+    out.window_seconds =
+        std::chrono::duration<double>(kSlotWidth).count() * static_cast<double>(kWindowSlots);
     std::lock_guard<std::mutex> lock(mutex_);
-    return ops_;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> RequestTelemetry::counters() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
-}
-
-std::uint64_t RequestTelemetry::counter(std::string_view name) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [n, value] : counters_) {
-        if (n == name) return value;
+    out.ops = ops_;
+    out.counters = counters_;
+    out.inflight = inflight_.load(std::memory_order_relaxed);
+    out.latency_ms = latency_ms_;
+    for (const Slot& slot : ring_) {
+        if (slot.tick >= oldest && slot.tick <= tick) out.window.merge_from(slot.figures);
     }
-    return 0;
-}
-
-HistogramStats RequestTelemetry::latency_lifetime_ms() const {
-    return latency_ms_->lifetime_stats();
-}
-
-HistogramStats RequestTelemetry::latency_window_ms() const {
-    return latency_ms_->window_stats();
-}
-
-std::uint64_t RequestTelemetry::window_cache_hits() const {
-    return cache_hits_->in_window();
-}
-
-std::uint64_t RequestTelemetry::window_cache_misses() const {
-    return cache_misses_->in_window();
-}
-
-double RequestTelemetry::window_seconds() const {
-    return latency_ms_->window_seconds();
+    return out;
 }
 
 void RunTelemetry::set_jobs(unsigned jobs) {

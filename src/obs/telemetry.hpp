@@ -17,7 +17,9 @@
 // byte-identical at --jobs 1/2/8 — including the poisoned-input batch case.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -107,52 +109,95 @@ struct FleetStats {
 // daemon request becomes one AppRunRecord (the access-journal line and the
 // slow-request log) plus the counts its RunScope closed with, and
 // RequestTelemetry folds that stream into the live tallies and windows the
-// status/metrics admin ops report.
+// status/metrics admin ops report. Nothing here lives in the metrics
+// registry, so two daemons in one process never see each other's figures.
+
+/// Request figures over one span of time: one slot of the sliding-window
+/// ring, or the merge of every slot still inside the window.
+struct RequestWindow {
+    std::uint64_t requests = 0;
+    std::uint64_t errors = 0;
+    /// Cache lookups that hit / missed (requests with a cache key only).
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    HistogramStats latency_ms;
+
+    void merge_from(const RequestWindow& other);
+};
+
+/// One consistent read of a daemon's telemetry, taken under one lock.
+struct RequestStats {
+    /// Per-op completion tally, sorted by op name.
+    std::vector<std::pair<std::string, std::uint64_t>> ops;
+    /// Every counter this daemon's requests bumped, sorted by name.
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    /// Requests that took an id and are not yet recorded.
+    std::int64_t inflight = 0;
+    /// Latency of every request since the daemon started.
+    HistogramStats latency_ms;
+    /// The last window_seconds: count 0 (null percentiles) once it has slid
+    /// past the last request.
+    RequestWindow window;
+    double window_seconds = 0;
+
+    /// One counter of the tally (0 when never bumped).
+    [[nodiscard]] std::uint64_t counter(std::string_view name) const;
+    /// The metrics op's snapshot: `registry`'s gauges and histograms with
+    /// these counters in place of its own, and the daemon series merged in
+    /// by name — gauges daemon.connections.active, daemon.requests.inflight
+    /// and daemon.{requests,request_errors,cache.hits,cache.misses}.window,
+    /// histograms daemon.request_ms and daemon.request_ms.window.
+    [[nodiscard]] MetricsSnapshot merged_into(MetricsSnapshot registry,
+                                              std::int64_t connections_active) const;
+};
 
 /// Folds the daemon's request stream into live telemetry: a per-daemon
 /// counter tally (each request's scope counts plus daemon.requests,
-/// daemon.request_errors and daemon.cache.hits/misses), the op tally, and
-/// windowed registry instruments under the same daemon.* names, so
-/// status/metrics can report last-minute percentiles and hit rates next to
-/// lifetime ones. All methods are thread-safe; one instance lives for the
-/// daemon's lifetime.
+/// daemon.request_errors and daemon.cache.hits/misses), the op tally, the
+/// lifetime latency summary, and a ring of kWindowSlots slots of
+/// kSlotWidth each (a one-minute sliding window). A write lands in the slot
+/// of its time slice, recycling a slot whose slice has left the window;
+/// reads merge only the slots still inside it. All methods are
+/// thread-safe; one instance lives for the daemon's lifetime.
 class RequestTelemetry {
 public:
-    RequestTelemetry();
+    using Clock = std::chrono::steady_clock;
 
-    /// Assigns the next monotonic request id (1-based).
+    /// Assigns the next monotonic request id (1-based); the request counts
+    /// as in flight until record() folds it in.
     [[nodiscard]] std::uint64_t next_request_id();
     /// Folds one completed request in: `counters` are the counts its
     /// RunScope closed with.
     void record(const AppRunRecord& record,
-                const std::vector<std::pair<std::string, std::uint64_t>>& counters);
+                const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+        record_at(record, counters, Clock::now());
+    }
+    [[nodiscard]] RequestStats snapshot() const { return snapshot_at(Clock::now()); }
 
-    /// Per-op completion tally, sorted by op name.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> op_tally() const;
-    /// Every counter this daemon's requests bumped, sorted by name: the
-    /// metrics op's counters.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-    /// One counter of that tally (0 when never bumped).
-    [[nodiscard]] std::uint64_t counter(std::string_view name) const;
-    [[nodiscard]] HistogramStats latency_lifetime_ms() const;
-    [[nodiscard]] HistogramStats latency_window_ms() const;
-    [[nodiscard]] std::uint64_t window_cache_hits() const;
-    [[nodiscard]] std::uint64_t window_cache_misses() const;
-    [[nodiscard]] double window_seconds() const;
+    /// The same with an explicit time, so tests can drive the ring.
+    void record_at(const AppRunRecord& record,
+                   const std::vector<std::pair<std::string, std::uint64_t>>& counters,
+                   Clock::time_point now);
+    [[nodiscard]] RequestStats snapshot_at(Clock::time_point now) const;
 
 private:
+    static constexpr std::size_t kWindowSlots = 12;
+    static constexpr std::chrono::seconds kSlotWidth{5};
+
+    struct Slot {
+        std::int64_t tick = -1;  // -1 = never written
+        RequestWindow figures;
+    };
+    [[nodiscard]] std::int64_t tick_of(Clock::time_point t) const;
+
+    const Clock::time_point epoch_ = Clock::now();
     std::atomic<std::uint64_t> next_id_{0};
+    std::atomic<std::int64_t> inflight_{0};
     mutable std::mutex mutex_;
     std::vector<std::pair<std::string, std::uint64_t>> ops_;
     std::vector<std::pair<std::string, std::uint64_t>> counters_;
-    // Registry windowed instruments, acquired once. They are global to the
-    // process, so only their windows are read; lifetime totals come from
-    // this daemon's own tallies.
-    WindowedHistogram* latency_ms_;
-    WindowedCounter* requests_;
-    WindowedCounter* request_errors_;
-    WindowedCounter* cache_hits_;
-    WindowedCounter* cache_misses_;
+    HistogramStats latency_ms_;
+    std::array<Slot, kWindowSlots> ring_{};
 };
 
 /// Collects per-app records during a batch run and renders the run ledger.

@@ -1,6 +1,8 @@
 #include "sig/builder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <map>
 #include <set>
 #include <unordered_set>
@@ -21,6 +23,24 @@ using semantics::Role;
 using semantics::SigAction;
 
 namespace {
+
+/// The sig.unknown_reason.<name> counter of `reason`. Each is acquired from
+/// the registry on its reason's first give-up, so a reason never given up
+/// on stays unregistered, and read from this table after.
+obs::Counter& reason_counter(UnknownReason reason) {
+    // kBudgetExhausted is the last reason.
+    static std::array<std::atomic<obs::Counter*>,
+                      static_cast<std::size_t>(UnknownReason::kBudgetExhausted) + 1>
+        table{};
+    std::atomic<obs::Counter*>& slot = table[static_cast<std::size_t>(reason)];
+    obs::Counter* counter = slot.load(std::memory_order_acquire);
+    if (counter == nullptr) {
+        counter = &obs::counter(std::string("sig.unknown_reason.") +
+                                unknown_reason_name(reason));
+        slot.store(counter, std::memory_order_release);
+    }
+    return *counter;
+}
 
 Sig::ValueType type_hint(const Type& t) {
     if (t == "int" || t == "long") return Sig::ValueType::kInt;
@@ -186,12 +206,12 @@ private:
     SigValue interpret(std::uint32_t mi, std::vector<SigValue> args, std::size_t ctx_pos,
                        bool live, int depth) {
         if (depth > kMaxDepth) {
-            obs::counter("sig.unknown_reason.taint_depth_cutoff").add(1);
+            reason_counter(UnknownReason::kTaintDepthCutoff).add(1);
             return SigValue::none(Sig::ValueType::kAny,
                                   UnknownReason::kTaintDepthCutoff, "depth");
         }
         if (on_stack_.count(mi) > 0) {
-            obs::counter("sig.unknown_reason.taint_depth_cutoff").add(1);
+            reason_counter(UnknownReason::kTaintDepthCutoff).add(1);
             return SigValue::none(Sig::ValueType::kAny,
                                   UnknownReason::kTaintDepthCutoff, "recursion");
         }
@@ -311,7 +331,7 @@ private:
         if (profiling_) ++method_stmts_[ref.method_index];
         if (request_->max_steps && steps_ > request_->max_steps) {
             step_capped_ = true;
-            obs::counter("sig.unknown_reason.budget_exhausted").add(1);
+            reason_counter(UnknownReason::kBudgetExhausted).add(1);
             return;
         }
         // Control flow is structural; everything else obeys the slice filter.
@@ -572,9 +592,7 @@ private:
         auto give_up = [&](Sig::ValueType type, UnknownReason reason,
                            std::string origin = {}) {
             if (!s.dst) return;
-            obs::counter(std::string("sig.unknown_reason.") +
-                         unknown_reason_name(reason))
-                .add(1);
+            reason_counter(reason).add(1);
             set_dst(SigValue::none(type, reason,
                                    origin.empty() ? api_origin() : std::move(origin)));
         };
@@ -633,7 +651,7 @@ private:
                 if (v.is_const()) {
                     set_dst(SigValue::of_str(Sig::constant(strings::percent_encode(v.text))));
                 } else {
-                    obs::counter("sig.unknown_reason.derived_string").add(1);
+                    reason_counter(UnknownReason::kDerivedString).add(1);
                     set_dst(SigValue::of_str(
                         Sig::unknown(Sig::ValueType::kString,
                                      UnknownReason::kDerivedString, api_origin())));
@@ -765,7 +783,7 @@ private:
                 const std::string* cls =
                     s.args.size() > 1 ? const_string(s.args[1]) : nullptr;
                 if (cls) {
-                    obs::counter("sig.unknown_reason.reflection").add(1);
+                    reason_counter(UnknownReason::kReflection).add(1);
                     expand_pojo(node, *cls, 0);
                 }
                 set_dst(SigValue::of_demand(node));
@@ -1479,9 +1497,18 @@ std::optional<TransactionSignature> SignatureBuilder::build(const BuildRequest& 
         stats->steps = interp.steps();
         stats->step_capped = interp.step_capped();
     }
-    obs::counter(signature ? "sig.signatures_built" : "sig.build_failures").add(1);
+    // Each instrument is acquired once, where it is first used: a build
+    // that never fails leaves sig.build_failures unregistered.
+    if (signature) {
+        static obs::Counter& built = obs::counter("sig.signatures_built");
+        built.add(1);
+    } else {
+        static obs::Counter& failures = obs::counter("sig.build_failures");
+        failures.add(1);
+    }
     span.finish();
-    obs::histogram("sig.build_ms").observe(span.seconds() * 1000.0);
+    static obs::Histogram& build_ms = obs::histogram("sig.build_ms");
+    build_ms.observe(span.seconds() * 1000.0);
     return signature;
 }
 

@@ -70,12 +70,14 @@ std::vector<SlicedTransaction> Slicer::slice_site(const StmtRef& site,
     if (!dp) return out;
 
     obs::Span span("slicing.site", "slicing");
-    obs::counter("slicer.dp_sites_sliced").add(1);
+    static obs::Counter& sites_sliced = obs::counter("slicer.dp_sites_sliced");
+    sites_sliced.add(1);
 
     // One transaction per acyclic calling context (disjoint sub-slices).
     auto contexts = callgraph_->contexts_reaching(site.method_index, 24,
                                                   options_.max_contexts);
-    obs::counter("slicer.contexts").add(contexts.size());
+    static obs::Counter& contexts_sliced = obs::counter("slicer.contexts");
+    contexts_sliced.add(contexts.size());
     obs::RunScope::charge_contexts(contexts.size());
 
     // Request/response slices are computed once per DP site (taint is
@@ -225,7 +227,8 @@ std::vector<StmtRef> Slicer::augment(const std::vector<StmtRef>& response_slice,
         });
     }
     if (seeds.empty()) return {};
-    obs::counter("slicer.augment_seeds").add(seeds.size());
+    static obs::Counter& augment_seeds = obs::counter("slicer.augment_seeds");
+    augment_seeds.add(seeds.size());
     auto result = engine_->run(Direction::kBackward, seeds);
     steps_used += result.steps_used;
     return std::move(result.statements);

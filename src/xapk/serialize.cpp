@@ -497,7 +497,7 @@ Status parse_statement(const std::vector<std::string_view>& t, std::vector<State
 
 Result<Program> parse_xapk(std::string_view input) {
     obs::Span span("xapk.parse_text", "xapk");
-    obs::Counter& lines_parsed = obs::counter("xapk.lines_parsed");
+    static obs::Counter& lines_parsed = obs::counter("xapk.lines_parsed");
     Program program;
     Class* current_class = nullptr;
     Method* current_method = nullptr;
@@ -604,9 +604,11 @@ Result<Program> parse_xapk(std::string_view input) {
         return Error("parsed xapk failed verification: " + status.error().message);
     }
     lines_parsed.add(line_number);
-    obs::counter("xapk.programs_parsed").add(1);
+    static obs::Counter& programs_parsed = obs::counter("xapk.programs_parsed");
+    programs_parsed.add(1);
     span.finish();
-    obs::histogram("xapk.parse_ms").observe(span.seconds() * 1000.0);
+    static obs::Histogram& parse_ms = obs::histogram("xapk.parse_ms");
+    parse_ms.observe(span.seconds() * 1000.0);
     return program;
 }
 

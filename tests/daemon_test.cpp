@@ -4,8 +4,8 @@
 // thread against a temp Unix socket; clients are raw sockets, so these
 // tests exercise the real protocol path end to end. The stress test drives
 // N concurrent clients with mixed ops and is the intended tsan workload:
-// request records, journal appends, windowed instruments, and the in-flight
-// gauges all race here if they can race at all.
+// request records, journal appends, the telemetry ring, and the in-flight
+// and connection counts all race here if they can race at all.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -282,7 +282,7 @@ TEST(DaemonTest, HealthAndUnknownOps) {
     ::close(fd);
 }
 
-TEST(DaemonTest, StatusReportsRequestsCacheAndWindowedLatency) {
+TEST(DaemonTest, StatusReportsRequestsCacheAndLatencyWindow) {
     TempDir dir("status");
     cache::ServeOptions options = base_options(dir);
     cache::CacheOptions cache_options;
@@ -311,26 +311,24 @@ TEST(DaemonTest, StatusReportsRequestsCacheAndWindowedLatency) {
     const Json* requests = status->find("requests");
     ASSERT_NE(requests, nullptr);
     // The status request itself is still in flight, so served counts only
-    // the two analyses — and inflight counts at least the status request.
+    // the two analyses — and inflight counts just the status request.
     EXPECT_EQ(requests->find("served")->as_int(), 2);
     EXPECT_EQ(requests->find("errors")->as_int(), 0);
-    EXPECT_GE(requests->find("inflight")->as_int(), 1);
+    EXPECT_EQ(requests->find("inflight")->as_int(), 1);
     const Json* ops = requests->find("ops");
     ASSERT_NE(ops, nullptr);
     EXPECT_EQ(ops->find("xapk")->as_int(), 2);
 
     const Json* connections = status->find("connections");
     ASSERT_NE(connections, nullptr);
-    EXPECT_GE(connections->find("active")->as_int(), 1);
-    EXPECT_GE(connections->find("accepted")->as_int(), 1);
+    EXPECT_EQ(connections->find("active")->as_int(), 1);
+    EXPECT_EQ(connections->find("accepted")->as_int(), 1);
 
     const Json* latency = status->find("latency_ms");
     ASSERT_NE(latency, nullptr);
     EXPECT_DOUBLE_EQ(latency->find("window_seconds")->as_double(), 60.0);
-    // The latency instrument is the process-global windowed histogram, so
-    // earlier tests in this binary contribute samples too: lower bounds.
-    EXPECT_GE(latency->find("lifetime")->find("count")->as_int(), 2);
-    EXPECT_GE(latency->find("window")->find("count")->as_int(), 2);
+    EXPECT_EQ(latency->find("lifetime")->find("count")->as_int(), 2);
+    EXPECT_EQ(latency->find("window")->find("count")->as_int(), 2);
     EXPECT_FALSE(latency->find("window")->find("p95")->is_null());
 
     const Json* cache_block = status->find("cache");
@@ -338,10 +336,62 @@ TEST(DaemonTest, StatusReportsRequestsCacheAndWindowedLatency) {
     ASSERT_TRUE(cache_block->is_object());
     EXPECT_EQ(cache_block->find("hits")->as_int(), 1);
     EXPECT_EQ(cache_block->find("misses")->as_int(), 1);
-    // Window tallies are global instruments too (see above): lower bounds.
-    EXPECT_GE(cache_block->find("window_hits")->as_int(), 1);
-    EXPECT_GE(cache_block->find("window_misses")->as_int(), 1);
+    EXPECT_EQ(cache_block->find("window_hits")->as_int(), 1);
+    EXPECT_EQ(cache_block->find("window_misses")->as_int(), 1);
     ::close(fd);
+}
+
+TEST(DaemonTest, StatusOfOneDaemonShowsNoneOfAnothersRequests) {
+    // Daemon A serves several requests and keeps its connection open while
+    // daemon B, in the same process, serves two; B's status must show
+    // exactly B's own latency samples, window tallies and connections.
+    TempDir dir_a("own_status_a");
+    TempDir dir_b("own_status_b");
+    auto with_cache = [](const TempDir& dir) {
+        cache::ServeOptions options = base_options(dir);
+        cache::CacheOptions cache_options;
+        cache_options.dir = (dir.path / "cache").string();
+        options.cache = cache_options;
+        return options;
+    };
+    DaemonFixture daemon_a(with_cache(dir_a));
+    DaemonFixture daemon_b(with_cache(dir_b));
+    const std::string text = corpus_text("blippex");
+
+    int fd_a = daemon_a.connect_fd();
+    ASSERT_GE(fd_a, 0);
+    for (int i = 1; i <= 4; ++i) {  // one miss, three hits
+        ASSERT_TRUE(ok_of(DaemonFixture::request(fd_a, xapk_request(text, i))));
+    }
+    ASSERT_TRUE(ok_of(DaemonFixture::request(fd_a, R"({"op":"ping"})")));
+
+    int fd_b = daemon_b.connect_fd();
+    ASSERT_GE(fd_b, 0);
+    for (int i = 1; i <= 2; ++i) {  // one miss, one hit
+        ASSERT_TRUE(ok_of(DaemonFixture::request(fd_b, xapk_request(text, i))));
+    }
+    Json response = DaemonFixture::request(fd_b, R"({"op":"status"})");
+    ASSERT_TRUE(ok_of(response));
+    const Json* status = response.find("status");
+    ASSERT_NE(status, nullptr);
+    const Json* latency = status->find("latency_ms");
+    EXPECT_EQ(latency->find("lifetime")->find("count")->as_int(), 2);
+    EXPECT_EQ(latency->find("window")->find("count")->as_int(), 2);
+    EXPECT_EQ(status->find("cache")->find("window_hits")->as_int(), 1);
+    EXPECT_EQ(status->find("cache")->find("window_misses")->as_int(), 1);
+    EXPECT_EQ(status->find("connections")->find("active")->as_int(), 1);
+    EXPECT_EQ(status->find("requests")->find("inflight")->as_int(), 1);
+
+    // A's status, on its still-open connection, shows only A's work.
+    Json response_a = DaemonFixture::request(fd_a, R"({"op":"status"})");
+    ASSERT_TRUE(ok_of(response_a));
+    const Json* status_a = response_a.find("status");
+    EXPECT_EQ(status_a->find("latency_ms")->find("lifetime")->find("count")->as_int(), 5);
+    EXPECT_EQ(status_a->find("cache")->find("window_hits")->as_int(), 3);
+    EXPECT_EQ(status_a->find("cache")->find("window_misses")->as_int(), 1);
+    EXPECT_EQ(status_a->find("connections")->find("active")->as_int(), 1);
+    ::close(fd_a);
+    ::close(fd_b);
 }
 
 TEST(DaemonTest, MetricsOpServesPrometheusAndJsonDeltas) {
@@ -356,7 +406,16 @@ TEST(DaemonTest, MetricsOpServesPrometheusAndJsonDeltas) {
     EXPECT_EQ(prom.find("format")->as_string(), "prometheus");
     const std::string& exposition = prom.find("metrics")->as_string();
     EXPECT_NE(exposition.find("# TYPE"), std::string::npos);
-    EXPECT_NE(exposition.find("daemon_requests"), std::string::npos);
+    // The daemon's own series: the ping is served and in its window, the
+    // scrape itself is in flight on the one open connection.
+    for (const char* sample :
+         {"\ndaemon_requests 1\n", "\ndaemon_requests_window 1\n",
+          "\ndaemon_request_errors_window 0\n", "\ndaemon_cache_hits_window 0\n",
+          "\ndaemon_cache_misses_window 0\n", "\ndaemon_connections_active 1\n",
+          "\ndaemon_requests_inflight 1\n", "\ndaemon_request_ms_count 1\n",
+          "\ndaemon_request_ms_window_count 1\n"}) {
+        EXPECT_NE(exposition.find(sample), std::string::npos) << sample;
+    }
 
     Json as_json = DaemonFixture::request(fd, R"({"op":"metrics","format":"json"})");
     ASSERT_TRUE(ok_of(as_json));
@@ -516,29 +575,28 @@ TEST(DaemonTest, ConcurrentMixedClientsJournalEveryRequestDistinctly) {
         const Json* status = response.find("status");
         EXPECT_EQ(status->find("requests")->find("served")->as_int(), kRequests - 1);
         EXPECT_EQ(status->find("requests")->find("errors")->as_int(), 0);
-        EXPECT_GE(status->find("connections")->find("accepted")->as_int(), kClients);
+        EXPECT_EQ(status->find("connections")->find("accepted")->as_int(), kClients + 1);
+        // Every client request has drained: only the status request itself
+        // is in flight. A client's close may not have been seen yet, so
+        // active is bounded rather than exact.
+        EXPECT_EQ(status->find("requests")->find("inflight")->as_int(), 1);
+        EXPECT_GE(status->find("connections")->find("active")->as_int(), 1);
+        EXPECT_LE(status->find("connections")->find("active")->as_int(), kClients + 1);
         // ~DaemonFixture sends the shutdown request and joins serve().
     }
 
-    // Once serve() returns every request has drained: the in-flight and
-    // active-connection gauges are back to zero (the registry is global,
-    // but no other daemon runs concurrently in this test binary).
+    // The daemon's figures are its own: none of them is a registry
+    // instrument.
     obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
-    ASSERT_NE(snap.counter("daemon.requests"), nullptr);
-    bool saw_inflight = false;
-    bool saw_active = false;
-    for (const auto& [name, value] : snap.gauges) {
-        if (name == "daemon.requests.inflight") {
-            saw_inflight = true;
-            EXPECT_EQ(value, 0) << name;
-        }
-        if (name == "daemon.connections.active") {
-            saw_active = true;
-            EXPECT_EQ(value, 0) << name;
-        }
+    for (const auto& [name, value] : snap.counters) {
+        EXPECT_NE(name.rfind("daemon.", 0), 0u) << name;
     }
-    EXPECT_TRUE(saw_inflight);
-    EXPECT_TRUE(saw_active);
+    for (const auto& [name, value] : snap.gauges) {
+        EXPECT_NE(name.rfind("daemon.", 0), 0u) << name;
+    }
+    for (const auto& [name, stats] : snap.histograms) {
+        EXPECT_NE(name.rfind("daemon.", 0), 0u) << name;
+    }
 
     // Every request — the shutdown included — left exactly one journal
     // record, with daemon-wide distinct monotonic ids and a complete

@@ -583,10 +583,11 @@ TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {
     };
 
     // Normalization mirrors the manifest convention: zero what is measured
-    // (pid, uptime, latency percentiles, byte sizes, temp paths) and what
-    // is process-global rather than per-daemon (the sliding-window tallies,
-    // which older runs in this same process leak into); keep what is a
-    // function of the driven workload (served/errors/ops, cache hit/miss).
+    // (pid, uptime, latency percentiles, byte sizes, temp paths); keep what
+    // is a function of the driven workload (served/errors/ops, inflight,
+    // connections, cache hit/miss and its window tallies: those are the
+    // daemon's own, and the workload finishes well inside the 55 s the
+    // window always spans).
     auto normalize_status = [](text::Json status) {
         for (auto& [key, value] : status.members()) {
             if (key == "pid") value = text::Json(std::int64_t{0});
@@ -596,9 +597,6 @@ TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {
                 for (auto& [ckey, cvalue] : value.members()) {
                     if (ckey == "dir") cvalue = text::Json(std::string());
                     if (ckey == "bytes") cvalue = text::Json(std::int64_t{0});
-                    if (ckey == "window_hits" || ckey == "window_misses") {
-                        cvalue = text::Json(std::int64_t{0});
-                    }
                 }
             }
         }

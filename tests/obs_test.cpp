@@ -803,8 +803,6 @@ TEST(Trace, SpanAttributesMemoryToPhase) {
     memtrack::set_enabled(false);
 }
 
-// ------------------------------------------------- windowed instruments --
-
 TEST(Metrics, HistogramStatsMergeFrom) {
     obs::HistogramStats a;
     obs::HistogramStats b;
@@ -843,142 +841,179 @@ TEST(Metrics, HistogramStatsMergeFrom) {
     EXPECT_DOUBLE_EQ(target.max, a.max);
 }
 
-TEST(Metrics, WindowedCounterMergesOnlyLiveBuckets) {
-    using Clock = std::chrono::steady_clock;
-    obs::MetricsRegistry registry;
-    obs::WindowedCounter& w = registry.windowed_counter("test.win.counter");
-    // Same instrument for the same name.
-    EXPECT_EQ(&registry.windowed_counter("test.win.counter"), &w);
+namespace {
 
-    Clock::time_point t0 = Clock::now();
-    w.add_at(3, t0);
-    w.add_at(4, t0 + std::chrono::seconds(7));  // lands in the next bucket
-    EXPECT_EQ(w.lifetime(), 7u);
-    EXPECT_EQ(w.in_window_at(t0 + std::chrono::seconds(7)), 7u);
-    // Window width is bucket_count * bucket_width = 60s: far enough out,
-    // the window is empty but the lifetime total survives.
-    EXPECT_EQ(w.in_window_at(t0 + std::chrono::seconds(120)), 0u);
-    EXPECT_EQ(w.lifetime(), 7u);
-    EXPECT_DOUBLE_EQ(w.window_seconds(), 60.0);
+/// A request record for driving RequestTelemetry directly.
+obs::AppRunRecord request_record(const char* op, double ms, const char* key = "",
+                                 bool cached = false, const char* error = "") {
+    obs::AppRunRecord record;
+    record.op = op;
+    record.key = key;
+    record.cached = cached;
+    record.error = error;
+    record.wall_seconds = ms / 1000.0;
+    return record;
 }
 
-TEST(Metrics, WindowedCounterRecyclesSlots) {
-    using Clock = std::chrono::steady_clock;
-    obs::MetricsRegistry registry;
-    obs::WindowedCounter& w = registry.windowed_counter("test.win.recycle");
+}  // namespace
+
+TEST(Telemetry, RequestWindowMergesOnlyLiveSlots) {
+    using Clock = obs::RequestTelemetry::Clock;
+    obs::RequestTelemetry telemetry;
     Clock::time_point t0 = Clock::now();
-    w.add_at(5, t0);
-    // One full ring later the same slot index comes around again; the old
-    // tally must be recycled, not added to.
-    w.add_at(1, t0 + std::chrono::seconds(60));
-    EXPECT_EQ(w.in_window_at(t0 + std::chrono::seconds(60)), 1u);
-    EXPECT_EQ(w.lifetime(), 6u);
+    for (int i = 0; i < 3; ++i) telemetry.record_at(request_record("ping", 1), {}, t0);
+    for (int i = 0; i < 4; ++i) {
+        // Lands in the next slot.
+        telemetry.record_at(request_record("ping", 1), {}, t0 + std::chrono::seconds(7));
+    }
+    obs::RequestStats now = telemetry.snapshot_at(t0 + std::chrono::seconds(7));
+    EXPECT_EQ(now.counter("daemon.requests"), 7u);
+    EXPECT_EQ(now.window.requests, 7u);
+    // The window is 12 slots x 5s = 60s: far enough out it is empty, but
+    // the lifetime tally survives.
+    obs::RequestStats later = telemetry.snapshot_at(t0 + std::chrono::seconds(120));
+    EXPECT_EQ(later.window.requests, 0u);
+    EXPECT_EQ(later.counter("daemon.requests"), 7u);
+    EXPECT_EQ(later.latency_ms.count, 7u);
+    EXPECT_DOUBLE_EQ(later.window_seconds, 60.0);
 }
 
-TEST(Metrics, WindowedHistogramWindowAndZeroSampleContract) {
-    using Clock = std::chrono::steady_clock;
-    obs::MetricsRegistry registry;
-    obs::WindowedHistogram& w = registry.windowed_histogram("test.win.hist");
+TEST(Telemetry, RequestWindowRecyclesSlots) {
+    using Clock = obs::RequestTelemetry::Clock;
+    obs::RequestTelemetry telemetry;
     Clock::time_point t0 = Clock::now();
-    w.observe_at(10.0, t0);
-    w.observe_at(30.0, t0 + std::chrono::seconds(6));
+    for (int i = 0; i < 5; ++i) {
+        telemetry.record_at(request_record("xapk", 1, "k", true), {}, t0);
+    }
+    // One full ring later the same slot comes around again; its old
+    // figures must be recycled, not added to.
+    telemetry.record_at(request_record("xapk", 1, "k", false), {},
+                        t0 + std::chrono::seconds(60));
+    obs::RequestStats stats = telemetry.snapshot_at(t0 + std::chrono::seconds(60));
+    EXPECT_EQ(stats.window.requests, 1u);
+    EXPECT_EQ(stats.window.hits, 0u);
+    EXPECT_EQ(stats.window.misses, 1u);
+    EXPECT_EQ(stats.window.latency_ms.count, 1u);
+    EXPECT_EQ(stats.counter("daemon.requests"), 6u);
+    EXPECT_EQ(stats.counter("daemon.cache.hits"), 5u);
+}
 
-    obs::HistogramStats life = w.lifetime_stats();
-    EXPECT_EQ(life.count, 2u);
-    EXPECT_DOUBLE_EQ(life.min, 10.0);
-    EXPECT_DOUBLE_EQ(life.max, 30.0);
+TEST(Telemetry, RequestWindowLatencyAndZeroSampleContract) {
+    using Clock = obs::RequestTelemetry::Clock;
+    obs::RequestTelemetry telemetry;
+    Clock::time_point t0 = Clock::now();
+    telemetry.record_at(request_record("ping", 10.0), {}, t0);
+    telemetry.record_at(request_record("ping", 30.0), {}, t0 + std::chrono::seconds(6));
 
-    obs::HistogramStats window = w.window_stats_at(t0 + std::chrono::seconds(6));
-    EXPECT_EQ(window.count, 2u);
-    EXPECT_DOUBLE_EQ(window.sum, 40.0);
+    obs::RequestStats stats = telemetry.snapshot_at(t0 + std::chrono::seconds(6));
+    EXPECT_EQ(stats.latency_ms.count, 2u);
+    EXPECT_DOUBLE_EQ(stats.latency_ms.min, 10.0);
+    EXPECT_DOUBLE_EQ(stats.latency_ms.max, 30.0);
+    EXPECT_EQ(stats.window.latency_ms.count, 2u);
+    EXPECT_DOUBLE_EQ(stats.window.latency_ms.sum, 40.0);
 
     // Past the window, the merge has zero samples and must honor the
     // zero-sample rendering contract: null percentiles, not 0.0.
-    obs::HistogramStats empty = w.window_stats_at(t0 + std::chrono::seconds(200));
-    EXPECT_EQ(empty.count, 0u);
-    Json rendered = obs::histogram_stats_json(empty);
+    obs::RequestStats empty = telemetry.snapshot_at(t0 + std::chrono::seconds(200));
+    EXPECT_EQ(empty.window.latency_ms.count, 0u);
+    EXPECT_EQ(empty.latency_ms.count, 2u);
+    Json rendered = obs::histogram_stats_json(empty.window.latency_ms);
     EXPECT_TRUE(rendered.find("p95")->is_null());
     EXPECT_TRUE(rendered.find("min")->is_null());
 }
 
-TEST(Metrics, WindowedInstrumentsRenderLifetimeAndWindow) {
-    using Clock = std::chrono::steady_clock;
-    obs::MetricsRegistry registry;
-    obs::WindowedCounter& c = registry.windowed_counter("test.win.render");
-    obs::WindowedHistogram& h = registry.windowed_histogram("test.win.render_ms");
+TEST(Telemetry, MetricsSnapshotCarriesLifetimeAndWindowSeries) {
+    using Clock = obs::RequestTelemetry::Clock;
+    obs::RequestTelemetry telemetry;
     Clock::time_point t0 = Clock::now();
-    c.add_at(9, t0);
-    h.observe_at(5.0, t0);
-
-    obs::MetricsSnapshot snap = registry.snapshot();
-    // Lifetime tally renders as a counter under the instrument's own name;
-    // the sliding-window merge rides under "<name>.window" (a gauge: the
-    // window total can shrink, which a counter must never do).
-    const std::uint64_t* lifetime = snap.counter("test.win.render");
-    ASSERT_NE(lifetime, nullptr);
-    EXPECT_EQ(*lifetime, 9u);
-    bool saw_window_gauge = false;
-    for (const auto& [name, value] : snap.gauges) {
-        if (name == "test.win.render.window") {
-            saw_window_gauge = true;
-            EXPECT_EQ(value, 9);
-        }
+    for (int i = 0; i < 9; ++i) {
+        (void)telemetry.next_request_id();
+        telemetry.record_at(request_record("xapk", 5.0, "k", i > 0), {{"cache.hits", 1}},
+                            t0);
     }
-    EXPECT_TRUE(saw_window_gauge);
-    ASSERT_NE(snap.histogram("test.win.render_ms"), nullptr);
-    ASSERT_NE(snap.histogram("test.win.render_ms.window"), nullptr);
-    EXPECT_EQ(snap.histogram("test.win.render_ms.window")->count, 1u);
+    (void)telemetry.next_request_id();  // one request still in flight
 
-    registry.reset();
-    obs::MetricsSnapshot after = registry.snapshot();
-    const std::uint64_t* cleared = after.counter("test.win.render");
-    ASSERT_NE(cleared, nullptr);
-    EXPECT_EQ(*cleared, 0u);
+    obs::MetricsSnapshot registry;
+    registry.gauges = {{"a.gauge", 1}, {"z.gauge", 2}};
+    registry.histograms = {{"z.hist_ms", obs::HistogramStats{}}};
+    registry.counters = {{"registry.only", 4}};
+    obs::MetricsSnapshot merged = telemetry.snapshot_at(t0).merged_into(registry, 3);
+
+    // Counters are the daemon's tally, lifetime totals under their own names.
+    using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(merged.counters, (Counts{{"cache.hits", 9},
+                                       {"daemon.cache.hits", 8},
+                                       {"daemon.cache.misses", 1},
+                                       {"daemon.requests", 9}}));
+    // The window rides under "<name>.window" as a gauge (the window total
+    // can shrink, which a counter must never do), merged in name order.
+    using Gauges = std::vector<std::pair<std::string, std::int64_t>>;
+    EXPECT_EQ(merged.gauges, (Gauges{{"a.gauge", 1},
+                                     {"daemon.cache.hits.window", 8},
+                                     {"daemon.cache.misses.window", 1},
+                                     {"daemon.connections.active", 3},
+                                     {"daemon.request_errors.window", 0},
+                                     {"daemon.requests.inflight", 1},
+                                     {"daemon.requests.window", 9},
+                                     {"z.gauge", 2}}));
+    ASSERT_EQ(merged.histograms.size(), 3u);
+    EXPECT_EQ(merged.histograms[0].first, "daemon.request_ms");
+    EXPECT_EQ(merged.histograms[1].first, "daemon.request_ms.window");
+    EXPECT_EQ(merged.histograms[2].first, "z.hist_ms");
+    EXPECT_EQ(merged.histogram("daemon.request_ms")->count, 9u);
+    EXPECT_EQ(merged.histogram("daemon.request_ms.window")->count, 9u);
+    // Once the window has slid past, only the lifetime series keep counts.
+    obs::MetricsSnapshot later = telemetry.snapshot_at(t0 + std::chrono::seconds(120))
+                                     .merged_into(registry, 0);
+    EXPECT_EQ(later.histogram("daemon.request_ms")->count, 9u);
+    EXPECT_EQ(later.histogram("daemon.request_ms.window")->count, 0u);
+    EXPECT_NE(later.to_prometheus().find("daemon_request_ms_window_count 0\n"),
+              std::string::npos);
 }
 
 TEST(Telemetry, RequestTelemetryTalliesAndWindows) {
     obs::RequestTelemetry telemetry;
     EXPECT_EQ(telemetry.next_request_id(), 1u);
     EXPECT_EQ(telemetry.next_request_id(), 2u);
+    EXPECT_EQ(telemetry.next_request_id(), 3u);
+    EXPECT_EQ(telemetry.snapshot().inflight, 3);
 
-    obs::AppRunRecord hit;
+    obs::AppRunRecord hit = request_record("file", 2.0, "deadbeef", true);
     hit.request_id = 1;
-    hit.op = "file";
-    hit.key = "deadbeef";
-    hit.cached = true;
-    hit.wall_seconds = 0.002;
     telemetry.record(hit, {{"cache.hits", 1}});
 
-    obs::AppRunRecord err;
+    obs::AppRunRecord err = request_record("ping", 1.0, "", false, "boom");
     err.request_id = 2;
-    err.op = "ping";
-    err.error = "boom";
-    err.wall_seconds = 0.001;
     telemetry.record(err, {});
 
     // A file request that failed before its lookup has no key: no miss.
-    obs::AppRunRecord unread;
+    obs::AppRunRecord unread =
+        request_record("file", 0.0, "", false, "cannot open /nonexistent");
     unread.request_id = 3;
-    unread.op = "file";
-    unread.error = "cannot open /nonexistent";
     telemetry.record(unread, {});
 
-    EXPECT_EQ(telemetry.counter("daemon.requests"), 3u);
-    EXPECT_EQ(telemetry.counter("daemon.request_errors"), 2u);
-    auto ops = telemetry.op_tally();
-    ASSERT_EQ(ops.size(), 2u);
-    EXPECT_EQ(ops[0].first, "file");  // sorted by op name
-    EXPECT_EQ(ops[0].second, 2u);
-    EXPECT_EQ(ops[1].first, "ping");
+    obs::RequestStats stats = telemetry.snapshot();
+    EXPECT_EQ(stats.counter("daemon.requests"), 3u);
+    EXPECT_EQ(stats.counter("daemon.request_errors"), 2u);
+    EXPECT_EQ(stats.counter("daemon.never_bumped"), 0u);
+    ASSERT_EQ(stats.ops.size(), 2u);
+    EXPECT_EQ(stats.ops[0].first, "file");  // sorted by op name
+    EXPECT_EQ(stats.ops[0].second, 2u);
+    EXPECT_EQ(stats.ops[1].first, "ping");
     using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
-    EXPECT_EQ(telemetry.counters(), (Counts{{"cache.hits", 1},
-                                            {"daemon.cache.hits", 1},
-                                            {"daemon.request_errors", 2},
-                                            {"daemon.requests", 3}}));
-    EXPECT_GE(telemetry.latency_lifetime_ms().count, 3u);
-    EXPECT_DOUBLE_EQ(telemetry.window_seconds(), 60.0);
-    // Only analysis ops count toward the cache hit/miss window.
-    EXPECT_GE(telemetry.window_cache_hits(), 1u);
+    EXPECT_EQ(stats.counters, (Counts{{"cache.hits", 1},
+                                      {"daemon.cache.hits", 1},
+                                      {"daemon.request_errors", 2},
+                                      {"daemon.requests", 3}}));
+    EXPECT_EQ(stats.inflight, 0);
+    EXPECT_EQ(stats.latency_ms.count, 3u);
+    EXPECT_EQ(stats.window.latency_ms.count, 3u);
+    EXPECT_EQ(stats.window.requests, 3u);
+    EXPECT_EQ(stats.window.errors, 2u);
+    EXPECT_DOUBLE_EQ(stats.window_seconds, 60.0);
+    // Only requests that looked the cache up count toward hits/misses.
+    EXPECT_EQ(stats.window.hits, 1u);
+    EXPECT_EQ(stats.window.misses, 0u);
 }
 
 TEST(Telemetry, JournalLineJsonShape) {

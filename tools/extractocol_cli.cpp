@@ -2,82 +2,7 @@
 //
 //   extractocol [options] <app.xapk> [<app2.xapk> ...]
 //
-//   --json                 emit the machine-readable report instead of text
-//                          (multiple inputs: one JSON array entry per app)
-//   --scope <prefix>       restrict analysis to classes under <prefix> (§5.3)
-//   --no-async-heuristic   disable the §3.4 cross-event heuristic
-//   --async-hops <n>       async-chain depth (default 1; >1 = §4 extension)
-//   --no-deobfuscation     skip the bundled-library de-obfuscation pre-pass
-//   --jobs <n>             worker threads (default 1 = sequential, 0 = one
-//                          per hardware thread). With multiple inputs the
-//                          apps are analyzed concurrently; reports are
-//                          byte-identical for every value
-//   --max-steps <n>        per-app analysis budget in abstract steps (taint
-//                          worklist iterations + signature-builder statement
-//                          executions; 0 = unlimited). Exhaustion degrades
-//                          the app to a partial report with budget_exhausted
-//                          audit outcomes — it never aborts
-//   --keep-going           batch mode: report every app even after one fails
-//                          (the default). A failed app becomes a per-file
-//                          error entry and the exit code is non-zero
-//   --fail-fast            batch mode: stop emitting after the first failed
-//                          input (in input order — deterministic under
-//                          --jobs; every app is still analyzed)
-//   --stats                print analysis statistics to stderr
-//   --metrics              print the per-phase timing table and metric
-//                          counters to stderr
-//   --audit                print the analysis-quality report (per-reason
-//                          unknown counts, per-DP outcomes, top unmodeled
-//                          APIs) instead of the transaction table
-//   --explain <id>         print the provenance tree of transaction <id>
-//                          (1-based, as numbered in the text report);
-//                          single input only
-//   --trace <file>         write a Chrome trace-event JSON file of the
-//                          pipeline spans (open with chrome://tracing)
-//   --profile              print the deterministic hot-DP-site / hot-method
-//                          cost attribution table to stderr (top 20 by
-//                          taint steps + interpreted statements)
-//   --profile-out <file>   write the full profile (every site and method,
-//                          wall-clock self-times included) as a JSON
-//                          sidecar; implies --profile collection
-//   --flamegraph <file>    write the span tree in Brendan Gregg
-//                          collapsed-stack format (feed to flamegraph.pl
-//                          or speedscope); implies span recording
-//   --metrics-prom <file>  write the full metrics registry in Prometheus
-//                          text exposition format (0.0.4)
-//   --run-manifest <file>  write the JSON run ledger: one record per input
-//                          (outcome, per-phase wall clock, budget use, peak
-//                          memory) plus fleet aggregates and run metrics
-//   --eval                 score each report against its corpus ground truth
-//                          (precision/recall/F1, URI exactness, keyword
-//                          coverage, dependency edges) and print the per-app
-//                          + fleet table with divergence triage to stderr;
-//                          inputs without corpus ground truth are listed as
-//                          unscored. Byte-identical for every --jobs value
-//   --eval-out <file>      write the full evaluation as an
-//                          extractocol.eval/v1 JSON sidecar (implies --eval
-//                          scoring; the stderr table still needs --eval)
-//   --cache-dir <dir>      persistent content-addressed report cache: an
-//                          input whose bytes were analyzed before (by this
-//                          analyzer version) replays the stored report
-//                          byte-identically instead of re-analyzing;
-//                          corrupt entries are detected, dropped, and fall
-//                          back to cold analysis
-//   --cache-max-bytes <n>  evict oldest cache entries past n bytes (0 =
-//                          unbounded, the default)
-//   --serve <socket>       run as a long-lived daemon on a Unix domain
-//                          socket: newline-delimited JSON requests in, one
-//                          report JSON line out, semantic models and the
-//                          cache kept warm across requests
-//   --connect <socket>     client mode: send each input path to a --serve
-//                          daemon and print the JSON response lines
-//   --progress             live "k/N apps, ETA" line on stderr during batch
-//                          analysis (stdout stays byte-deterministic)
-//   --memtrack             enable the tracking allocator: mem.live_bytes /
-//                          mem.peak_bytes gauges, and per-app peak
-//                          attribution when apps run sequentially
-//   --help                 print the option list and exit 0
-//   -v / --verbose         lower the log threshold (once: info, twice: debug)
+// print_usage() below is the option list; --help prints it.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -256,6 +181,38 @@ void print_metrics(const core::AnalysisReport& report) {
     }
     std::fprintf(stderr, "-- registry --\n%s",
                  obs::MetricsRegistry::global().snapshot().to_table().c_str());
+}
+
+/// Writes `content` to `path`, or prints "error: cannot write <what> to
+/// <path>" and returns false.
+bool write_output(const char* path, const char* what, const std::string& content) {
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "error: cannot write %s to %s\n", what, path);
+        return false;
+    }
+    out << content;
+    return true;
+}
+
+/// The --flamegraph, --trace and --metrics-prom files (each when its path
+/// is set), written once the run — batch or daemon — is over. Stops at the
+/// first file that cannot be written.
+bool write_run_outputs(const char* flamegraph_path, const char* trace_path,
+                       const char* metrics_prom_path) {
+    if (flamegraph_path &&
+        !write_output(flamegraph_path, "flamegraph",
+                      obs::TraceRecorder::global().to_collapsed())) {
+        return false;
+    }
+    if (trace_path &&
+        !write_output(trace_path, "trace",
+                      obs::TraceRecorder::global().to_chrome_json().dump_pretty() + "\n")) {
+        return false;
+    }
+    return !metrics_prom_path ||
+           write_output(metrics_prom_path, "metrics",
+                        obs::MetricsRegistry::global().snapshot().to_prometheus());
 }
 
 }  // namespace
@@ -505,7 +462,9 @@ int main(int argc, char** argv) {
     if (serve_path) {
         // Daemon mode: analysis requests arrive over the socket; the batch
         // pipeline below never runs. --metrics-prom is honored on the way
-        // out so an orchestrator can scrape the daemon's cache counters.
+        // out so an orchestrator can scrape the registry's cache and
+        // analysis counters; the daemon's own daemon.* series live in its
+        // telemetry and are served by the live metrics op only.
         cache::ServeOptions serve_options;
         serve_options.socket_path = serve_path;
         options.jobs = jobs;
@@ -520,36 +479,9 @@ int main(int argc, char** argv) {
         serve_options.journal_max_bytes = static_cast<std::uint64_t>(journal_max_bytes);
         if (slow_ms_set) serve_options.slow_ms = static_cast<double>(slow_ms);
         int serve_rc = cache::serve(serve_options);
-        if (metrics_prom_path) {
-            std::ofstream prom_out(metrics_prom_path);
-            if (!prom_out) {
-                std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                             metrics_prom_path);
-                return 1;
-            }
-            prom_out << obs::MetricsRegistry::global().snapshot().to_prometheus();
-        }
-        // The daemon honors --trace/--flamegraph on the way out, same as
-        // --metrics-prom: request spans accumulate while serving and the
-        // files are written once the accept loop drains.
-        if (flamegraph_path) {
-            std::ofstream flame_out(flamegraph_path);
-            if (!flame_out) {
-                std::fprintf(stderr, "error: cannot write flamegraph to %s\n",
-                             flamegraph_path);
-                return 1;
-            }
-            flame_out << obs::TraceRecorder::global().to_collapsed();
-        }
-        if (trace_path) {
-            std::ofstream trace_out(trace_path);
-            if (!trace_out) {
-                std::fprintf(stderr, "error: cannot write trace to %s\n", trace_path);
-                return 1;
-            }
-            trace_out << obs::TraceRecorder::global().to_chrome_json().dump_pretty()
-                      << "\n";
-        }
+        // Request spans and the registry's counters accumulate while
+        // serving; the files are written once the accept loop drains.
+        if (!write_run_outputs(flamegraph_path, trace_path, metrics_prom_path)) return 1;
         return serve_rc;
     }
     if (connect_path) {
@@ -725,56 +657,22 @@ int main(int argc, char** argv) {
     if (eval_flag) {
         std::fprintf(stderr, "%s", eval::render_table(eval_results, eval_fleet).c_str());
     }
-    if (eval_out_path) {
-        std::ofstream eval_out(eval_out_path);
-        if (!eval_out) {
-            std::fprintf(stderr, "error: cannot write evaluation to %s\n",
-                         eval_out_path);
-            return 1;
-        }
-        eval_out << eval::results_json(eval_results, eval_fleet).dump_pretty() << "\n";
+    if (eval_out_path &&
+        !write_output(eval_out_path, "evaluation",
+                      eval::results_json(eval_results, eval_fleet).dump_pretty() + "\n")) {
+        return 1;
     }
     if (profile) {
         // stderr, like --stats/--metrics: stdout stays the report stream.
         // The table is counts-only and byte-identical for any --jobs value.
         std::fprintf(stderr, "%s", obs::Profiler::global().table().c_str());
     }
-    if (profile_out_path) {
-        std::ofstream profile_file(profile_out_path);
-        if (!profile_file) {
-            std::fprintf(stderr, "error: cannot write profile to %s\n",
-                         profile_out_path);
-            return 1;
-        }
-        profile_file << obs::Profiler::global().to_json().dump_pretty() << "\n";
+    if (profile_out_path &&
+        !write_output(profile_out_path, "profile",
+                      obs::Profiler::global().to_json().dump_pretty() + "\n")) {
+        return 1;
     }
-    if (flamegraph_path) {
-        std::ofstream flame_out(flamegraph_path);
-        if (!flame_out) {
-            std::fprintf(stderr, "error: cannot write flamegraph to %s\n",
-                         flamegraph_path);
-            return 1;
-        }
-        flame_out << obs::TraceRecorder::global().to_collapsed();
-    }
-    if (trace_path) {
-        std::ofstream trace_out(trace_path);
-        if (!trace_out) {
-            std::fprintf(stderr, "error: cannot write trace to %s\n", trace_path);
-            return 1;
-        }
-        trace_out << obs::TraceRecorder::global().to_chrome_json().dump_pretty()
-                  << "\n";
-    }
-    if (metrics_prom_path) {
-        std::ofstream prom_out(metrics_prom_path);
-        if (!prom_out) {
-            std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                         metrics_prom_path);
-            return 1;
-        }
-        prom_out << obs::MetricsRegistry::global().snapshot().to_prometheus();
-    }
+    if (!write_run_outputs(flamegraph_path, trace_path, metrics_prom_path)) return 1;
     if (manifest_path) {
         obs::RunTelemetry telemetry;
         telemetry.set_jobs(jobs);
@@ -797,13 +695,10 @@ int main(int argc, char** argv) {
             }
             telemetry.add(std::move(record));
         }
-        std::ofstream manifest_out(manifest_path);
-        if (!manifest_out) {
-            std::fprintf(stderr, "error: cannot write run manifest to %s\n",
-                         manifest_path);
+        if (!write_output(manifest_path, "run manifest",
+                          telemetry.manifest_json().dump_pretty() + "\n")) {
             return 1;
         }
-        manifest_out << telemetry.manifest_json().dump_pretty() << "\n";
     }
     return exit_code;
 }
