@@ -13,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "semantics/deobfuscate.hpp"
 #include "slicing/slicer.hpp"
-#include "support/budget.hpp"
 #include "support/log.hpp"
 #include "support/memtrack.hpp"
 #include "support/parallel.hpp"
@@ -53,19 +52,6 @@ std::string transaction_key(const sig::TransactionSignature& signature,
     return key;
 }
 
-std::string dependency_key(const txn::Dependency& d) {
-    std::string key = std::to_string(d.from);
-    key += kSep;
-    key += std::to_string(d.to);
-    key += kSep;
-    key += d.response_field;
-    key += kSep;
-    key += d.request_field;
-    key += kSep;
-    key += d.via;
-    return key;
-}
-
 void merge_unique(std::vector<std::string>& into, std::vector<std::string>&& from) {
     for (auto& value : from) {
         if (std::find(into.begin(), into.end(), value) == into.end()) {
@@ -83,8 +69,11 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     auto start = std::chrono::steady_clock::now();
     // Every counter this run bumps — on this thread, or on a pool worker
     // inside one of its units — lands in `run`, so stats.counters is exact
-    // however many other analyses share the process.
-    obs::RunScope run;
+    // however many other analyses share the process. The run also holds the
+    // app's step limit, shared by the slicing and signature stages: their
+    // units fold in site/context order, so the exhaustion point — and the
+    // degraded report — is identical for every `jobs` value.
+    obs::RunScope run(options_.max_total_steps);
     obs::Span analyze_span("analyze", "core");
 
     // One pool serves the three data-parallel stages (per-site slicing,
@@ -93,11 +82,6 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // keeps everything on this thread.
     unsigned jobs = support::resolve_jobs(options_.jobs);
     support::ThreadPool pool(jobs > 1 ? jobs - 1 : 0);
-
-    // Per-app step budget shared by the slicing and signature stages. Stage
-    // costs fold in site/context order, so the exhaustion point — and the
-    // degraded report — is identical for every `jobs` value.
-    support::BudgetTracker budget(options_.max_total_steps);
 
     AnalysisReport report;
     auto end_phase = [&report](const char* name, obs::Span& span) {
@@ -172,29 +156,29 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
                                      site.method_index, site.block, site.index);
     };
 
-    // Each site slices independently into its own slot (and its own run
+    // Each site slices independently into its own slot (and its own stage
     // unit); the flatten below is sequential and in site order, so the
     // transaction order (and therefore the report) is identical for any
     // thread count.
     //
-    // Sites past the budget cut lose their results, and neither their steps
-    // nor their counters are charged: the cut depends only on the
+    // Sites past the budget cut lose their results, and none of their
+    // steps, counters or --profile rows count: the cut depends only on the
     // deterministic per-site costs.
     std::vector<char> site_budget_hit(sites.size(), 0);
     std::vector<std::vector<slicing::SlicedTransaction>> per_site(sites.size());
     {
-        auto stage = budget.stage(sites.size());
-        std::vector<obs::RunScope::Unit> units(sites.size());
+        obs::RunScope::Stage stage(run, sites.size(), obs::RunScope::Phase::kSlice);
         pool.for_each_index(sites.size(), [&](std::size_t i) {
-            if (stage.should_skip()) return;
-            obs::RunScope::Enter unit(units[i], profile_key(sites[i]),
-                                      obs::RunScope::Stage::kSlice);
-            std::size_t steps = 0;
-            per_site[i] = slicer.slice_site(sites[i], &steps);
-            stage.record(i, steps);
+            stage.run(
+                i,
+                [&] {
+                    std::size_t steps = 0;
+                    per_site[i] = slicer.slice_site(sites[i], &steps);
+                    return steps;
+                },
+                profile_key(sites[i]));
         });
         std::size_t cut = stage.finish();
-        run.fold(units, cut);
         for (std::size_t i = cut; i < sites.size(); ++i) {
             per_site[i].clear();
             site_budget_hit[i] = 1;
@@ -259,25 +243,25 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     std::vector<std::optional<sig::TransactionSignature>> built(sliced.size());
     std::vector<char> build_capped(sliced.size(), 0);
     {
-        auto stage = budget.stage(sliced.size());
-        std::vector<obs::RunScope::Unit> units(sliced.size());
+        obs::RunScope::Stage stage(run, sliced.size(), obs::RunScope::Phase::kSig);
         pool.for_each_index(sliced.size(), [&](std::size_t i) {
-            if (stage.should_skip()) return;
-            obs::RunScope::Enter unit(units[i], profile_key(sliced[i].dp_site),
-                                      obs::RunScope::Stage::kSig);
-            sig::BuildRequest request;
-            request.dp_site = sliced[i].dp_site;
-            request.dp = sliced[i].dp;
-            request.context = sliced[i].context;
-            request.slice = &sliced[i].combined_slice;
-            request.max_steps = options_.max_sig_steps;
-            sig::BuildStats build_stats;
-            built[i] = builder.build(request, &build_stats);
-            build_capped[i] = build_stats.step_capped ? 1 : 0;
-            stage.record(i, build_stats.steps);
+            stage.run(
+                i,
+                [&] {
+                    sig::BuildRequest request;
+                    request.dp_site = sliced[i].dp_site;
+                    request.dp = sliced[i].dp;
+                    request.context = sliced[i].context;
+                    request.slice = &sliced[i].combined_slice;
+                    request.max_steps = options_.max_sig_steps;
+                    sig::BuildStats build_stats;
+                    built[i] = builder.build(request, &build_stats);
+                    build_capped[i] = build_stats.step_capped ? 1 : 0;
+                    return build_stats.steps;
+                },
+                profile_key(sliced[i].dp_site));
         });
         std::size_t cut = stage.finish();
-        run.fold(units, cut);
         // Contexts past the cut lose their signatures; their DP sites degrade
         // to the budget_exhausted outcome. A context *kept* but step-capped
         // (per-build cap) keeps its partial signature — its unknown leaves
@@ -334,7 +318,7 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     // transaction set is already partial, and the phase's taint runs would
     // charge nothing (keeping the degraded report cheap is the point).
     std::vector<txn::Dependency> raw_edges;
-    if (!budget.exhausted()) raw_edges = deps.analyze(sliced, &pool);
+    if (!run.exhausted()) raw_edges = deps.analyze(sliced, &pool);
     end_phase("txn", txn_span);
 
     // Deduplicate: one report transaction per distinct signature. The merge
@@ -409,14 +393,14 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         report_index_of[bi] = found;
     }
 
-    std::unordered_set<std::string> seen_edges;
+    std::unordered_set<txn::Dependency, txn::DependencyHash> seen_edges;
     seen_edges.reserve(raw_edges.size());
     for (const auto& edge : raw_edges) {
         txn::Dependency mapped = edge;
         mapped.from = report_index_of[edge.from];
         mapped.to = report_index_of[edge.to];
         if (mapped.from == mapped.to) continue;
-        if (seen_edges.insert(dependency_key(mapped)).second) {
+        if (seen_edges.insert(mapped).second) {
             report.dependencies.push_back(std::move(mapped));
         }
     }
@@ -442,16 +426,18 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     std::sort(report.audit.unknown_reasons.begin(), report.audit.unknown_reasons.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
 
-    report.stats.budget_steps_used = budget.steps_used();
-    report.stats.budget_exhausted = budget.exhausted();
+    report.stats.budget_steps_used = run.steps_used();
+    report.stats.budget_exhausted = run.exhausted();
     // Budget counters exist only when a budget is set: default runs emit no
     // new counter names, so the committed bench baseline stays valid.
-    if (budget.limited()) {
-        obs::counter("budget.steps_used").add(budget.steps_used());
-        if (budget.exhausted()) {
-            obs::counter("budget.exhausted_apps").add(1);
-            log::warn().kv("max_total_steps", budget.max_total_steps())
-                    .kv("steps_used", budget.steps_used())
+    if (options_.max_total_steps != 0) {
+        static obs::Counter& steps_used = obs::counter("budget.steps_used");
+        steps_used.add(run.steps_used());
+        if (run.exhausted()) {
+            static obs::Counter& exhausted_apps = obs::counter("budget.exhausted_apps");
+            exhausted_apps.add(1);
+            log::warn().kv("max_total_steps", options_.max_total_steps)
+                    .kv("steps_used", run.steps_used())
                 << "analysis budget exhausted; report is partial";
         }
     }
@@ -520,10 +506,9 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
     // One unit per input, folded in input order: everything an input
     // counts, its parse included, reaches the caller's scope.
     obs::RunScope run;
-    std::vector<obs::RunScope::Unit> units(inputs.size());
+    obs::RunScope::Stage stage(run, inputs.size());
     std::atomic<std::size_t> done{0};
-    support::parallel_for(app_jobs, inputs.size(), [&](std::size_t i) {
-        obs::RunScope::Enter unit(units[i]);
+    auto analyze_input = [&](std::size_t i) {
         items[i].file = inputs[i].file;
         std::uint64_t mem_base = 0;
         if (track_per_app) {
@@ -559,10 +544,16 @@ std::vector<BatchItem> Analyzer::analyze_batch(std::vector<BatchInput> inputs) c
             options_.batch_progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
                                     inputs.size());
         }
+    };
+    support::parallel_for(app_jobs, inputs.size(), [&](std::size_t i) {
+        stage.run(i, [&] { analyze_input(i); });
     });
-    run.fold(units, units.size());
+    (void)stage.finish();
     for (const auto& item : items) {
-        if (!item.ok()) obs::counter("isolation.contained_errors").add(1);
+        if (!item.ok()) {
+            static obs::Counter& contained = obs::counter("isolation.contained_errors");
+            contained.add(1);
+        }
     }
     (void)run.close();
     return items;

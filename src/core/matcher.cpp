@@ -134,7 +134,8 @@ TraceMatcher::TraceMatcher(const AnalysisReport& report) : report_(&report) {
         compiled_.push_back(std::move(cs));
     }
     span.finish();
-    obs::histogram("sig.regex_compile_ms").observe(span.seconds() * 1000.0);
+    static obs::Histogram& compile_ms = obs::histogram("sig.regex_compile_ms");
+    compile_ms.observe(span.seconds() * 1000.0);
 }
 
 std::vector<std::string> TraceMatcher::payload_keywords(BodyKind kind,
@@ -250,20 +251,6 @@ MatchOutcome TraceMatcher::match(const http::Transaction& txn) const {
         if (auto outcome = match_signature(i, txn, uri_text)) return *outcome;
     }
     return {};
-}
-
-MatchOutcome TraceMatcher::match_best(const http::Transaction& txn) const {
-    std::string uri_text = txn.request.uri.to_string();
-    MatchOutcome best;
-    for (std::size_t i = 0; i < report_->transactions.size(); ++i) {
-        auto outcome = match_signature(i, txn, uri_text);
-        if (!outcome) continue;
-        if (!best.transaction ||
-            outcome->uri_accounting.key_bytes > best.uri_accounting.key_bytes) {
-            best = std::move(*outcome);
-        }
-    }
-    return best;
 }
 
 std::vector<MatchOutcome> TraceMatcher::match_all(const http::Transaction& txn) const {

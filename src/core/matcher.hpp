@@ -73,18 +73,9 @@ public:
     /// First accepting signature in report order wins.
     [[nodiscard]] MatchOutcome match(const http::Transaction& txn) const;
 
-    /// Specificity-ranked variant of match(): among all signatures accepting
-    /// the transaction, returns the one matching the most literal URI bytes
-    /// (ties -> lowest index). Needed wherever wildcard-URI signatures (the
-    /// uri_from degradations, GET (.*)) coexist with constant ones — in
-    /// report order the wildcard would absorb traffic belonging to a more
-    /// specific signature declared after it.
-    [[nodiscard]] MatchOutcome match_best(const http::Transaction& txn) const;
-
     /// Every signature accepting the transaction, in report order. Callers
     /// that assign traffic to signatures one-to-one (the accuracy
-    /// observatory) pick among these; match_best() is the single-winner
-    /// projection of this list.
+    /// observatory) pick among these.
     [[nodiscard]] std::vector<MatchOutcome> match_all(
         const http::Transaction& txn) const;
 

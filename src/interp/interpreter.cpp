@@ -210,8 +210,8 @@ struct Interpreter::Impl {
     obs::Counter* stmts_evaluated = &obs::counter("interp.stmts_evaluated");
     obs::Counter* events_fired = &obs::counter("interp.events_fired");
     // --profile: per-method statement tally, charged per frame (one map
-    // update per call, not per statement) and flushed to the global
-    // profiler after each fuzz pass.
+    // update per call, not per statement) and flushed to the innermost run
+    // scope after each fuzz pass.
     bool profiling = false;
     std::map<const Method*, std::uint64_t> profile_stmts;
 
@@ -223,9 +223,8 @@ struct Interpreter::Impl {
 
     void flush_profile() {
         if (!profiling || profile_stmts.empty()) return;
-        obs::Profiler& profiler = obs::Profiler::global();
         for (const auto& [method, count] : profile_stmts) {
-            profiler.charge_method(
+            obs::RunScope::charge_method(
                 obs::profile_method_key(program->app_name, method->ref().qualified()),
                 0, count);
         }
@@ -516,16 +515,9 @@ struct Interpreter::Impl {
     void run_handler(const EventRegistration& event) {
         const Method* handler = program->find_method(event.handler);
         if (!handler) return;
-        if (options.budget && options.budget->remaining() == 0) return;
         events_fired->add(1);
         current_trigger = event.label;
         steps_left = options.max_steps_per_event;
-        if (options.budget) {
-            // Clip this event's allowance to whatever the shared budget still
-            // permits, and charge what the event actually consumed.
-            steps_left = std::min(steps_left, options.budget->remaining());
-        }
-        const std::size_t allowance = steps_left;
         std::vector<RtValue> args;
         if (!handler->is_static) {
             args.push_back(RtValue::of_object(singleton(handler->class_name)));
@@ -535,7 +527,6 @@ struct Interpreter::Impl {
             args.push_back(default_param(handler->locals[p].type));
         }
         call(*handler, std::move(args));
-        if (options.budget) options.budget->charge(allowance - steps_left);
     }
 
     RtValue default_param(const Type& type) {
@@ -594,7 +585,8 @@ http::Trace Interpreter::fuzz(FuzzMode mode) {
         impl_->run_handler(event);
     }
     span.finish();
-    obs::histogram("interp.fuzz_ms").observe(span.seconds() * 1000.0);
+    static obs::Histogram& fuzz_ms = obs::histogram("interp.fuzz_ms");
+    fuzz_ms.observe(span.seconds() * 1000.0);
     impl_->flush_profile();
     return impl_->trace;
 }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "http/message.hpp"
-#include "support/budget.hpp"
 #include "xir/ir.hpp"
 
 namespace extractocol::interp {
@@ -59,12 +58,6 @@ enum class FuzzMode {
 struct InterpreterOptions {
     std::size_t max_steps_per_event = 200'000;
     std::size_t max_call_depth = 128;
-    /// Optional shared analysis budget (not owned). Each event's step
-    /// allowance is clipped to the remaining budget, the steps it consumed
-    /// are charged afterwards, and no further events fire once it is
-    /// exhausted. The interpreter runs events sequentially, so charging is
-    /// deterministic.
-    support::BudgetTracker* budget = nullptr;
 };
 
 class Interpreter {

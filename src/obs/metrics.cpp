@@ -306,10 +306,35 @@ void MetricsRegistry::reset() {
 
 // ----------------------------------------------------------- run scopes --
 
-RunScope::Enter::Enter(Unit& unit, std::string site, Stage stage) : prev_(current_) {
+void RunScope::Unit::add_method(const std::string& key, std::uint64_t taint_steps,
+                                std::uint64_t interp_stmts) {
+    auto [it, inserted] = methods.try_emplace(key);
+    if (inserted) it->second.method = key;
+    it->second.taint_steps += taint_steps;
+    it->second.interp_stmts += interp_stmts;
+}
+
+void RunScope::Unit::absorb(const Unit& other) {
+    for (const auto& [counter, n] : other.counts) add(counter, n);
+    for (const auto& [key, row] : other.methods) {
+        add_method(key, row.taint_steps, row.interp_stmts);
+    }
+}
+
+void RunScope::charge_method(const std::string& method_key, std::uint64_t taint_steps,
+                             std::uint64_t interp_stmts) {
+    if (taint_steps == 0 && interp_stmts == 0) return;
+    if (current_ != nullptr) {
+        current_->add_method(method_key, taint_steps, interp_stmts);
+    } else {
+        Profiler::global().charge_method(method_key, taint_steps, interp_stmts);
+    }
+}
+
+RunScope::Enter::Enter(Unit& unit, std::string site, Phase phase) : prev_(current_) {
     if (!site.empty()) {
         unit.profile.site = std::move(site);
-        seconds_ = stage == Stage::kSlice ? &unit.profile.slice_seconds
+        seconds_ = phase == Phase::kSlice ? &unit.profile.slice_seconds
                                           : &unit.profile.sig_seconds;
         start_ = std::chrono::steady_clock::now();
     }
@@ -324,12 +349,29 @@ RunScope::Enter::~Enter() {
     }
 }
 
-void RunScope::fold(std::vector<Unit>& units, std::size_t cut) {
-    for (std::size_t i = 0; i < std::min(cut, units.size()); ++i) {
-        for (const auto& [counter, n] : units[i].counts) run_.add(counter, n);
-        if (!units[i].profile.site.empty()) Profiler::global().merge_site(units[i].profile);
+void RunScope::Stage::record(std::size_t index, std::size_t steps) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[index].steps = steps;
+    slots_[index].done = true;
+    // Stops once the limit is crossed: later units are dropped whether they
+    // ran or not, so their scheduling-dependent completion changes nothing.
+    while (!run_->exhausted() && frontier_ < slots_.size() && slots_[frontier_].done) {
+        Slot& slot = slots_[frontier_++];
+        folded_.absorb(slot.unit);
+        if (!slot.unit.profile.site.empty()) Profiler::global().merge_site(slot.unit.profile);
+        slot.unit = Unit{};
+        run_->steps_used_ += slot.steps;
+        if (run_->max_steps_ != 0 && run_->steps_used_ > run_->max_steps_) {
+            run_->exhausted_.store(true, std::memory_order_relaxed);
+        }
     }
-    units.clear();
+}
+
+std::size_t RunScope::Stage::finish() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_->run_.absorb(folded_);
+    folded_ = Unit{};
+    return frontier_;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> RunScope::close() {
@@ -337,15 +379,19 @@ std::vector<std::pair<std::string, std::uint64_t>> RunScope::close() {
     // Global-registry counters live as long as the process and their names
     // never change, so no registry lock is needed here.
     Unit* outer = current_;
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (const auto& [counter, n] : run_.counts) {
-        if (n == 0) continue;
-        if (outer != nullptr) {
-            outer->add(counter, n);
-        } else {
+    if (outer != nullptr) {
+        outer->absorb(run_);
+    } else {
+        for (const auto& [counter, n] : run_.counts) {
             counter->value_.fetch_add(n, std::memory_order_relaxed);
         }
-        out.emplace_back(counter->name_, n);
+        for (const auto& [key, row] : run_.methods) {
+            Profiler::global().charge_method(key, row.taint_steps, row.interp_stmts);
+        }
+    }
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& [counter, n] : run_.counts) {
+        if (n != 0) out.emplace_back(counter->name_, n);
     }
     std::sort(out.begin(), out.end());
     return out;

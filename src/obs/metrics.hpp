@@ -33,6 +33,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -67,25 +69,80 @@ private:
 
 // ------------------------------------------------------------ run scopes --
 // Run-scoped attribution (DESIGN.md §8), the one way work is attributed.
-// core::Analyzer::analyze opens one RunScope per run and enters one Unit per
-// parallel work item (a slicing site, a signature context, a dependency tap)
-// on whichever pool thread runs it; analyze_batch does the same per input,
-// the CLI opens one scope over its whole run and the daemon one per request.
-// While a scope is innermost on a thread, adds to global-registry counters
-// land in it as plain integers keyed by counter, so a run counts exactly its
-// own work. Units fold into the run in index order, below the budget cut only.
+// core::Analyzer::analyze opens one RunScope per run; the CLI opens one
+// over its whole run, analyze_batch one over its inputs and the daemon one
+// per request. While a scope is innermost on a thread, adds to
+// global-registry counters and --profile charges land in it, so a run
+// counts exactly its own work.
+//
+// Parallel work goes through a Stage: one unit per index, run on whichever
+// pool thread claims it. Each unit reports its step count, and the stage's
+// frontier folds finished units into the run in index order. A run opened
+// with a step limit stops folding after the unit whose steps cross it; the
+// units past that cut count nowhere, and units not yet started are skipped.
+// The cut depends only on the per-unit step counts, so counters, steps and
+// --profile rows are the same at any thread count.
+//
 // Scopes nest: a closing run folds into the scope enclosing it on its
-// thread, and only an outermost run folds into the registry, the exact
-// process aggregate.
+// thread, and only an outermost run folds into the registry and the
+// profiler, the exact process aggregate. Steps do not nest: each run keeps
+// its own.
 class RunScope {
+    struct Unit;
+
 public:
-    enum class Stage { kSlice, kSig };
+    /// Which wall-clock column of a --profile site row a stage's units time.
+    enum class Phase { kSlice, kSig };
+
+    class Stage;
+
+    /// Opens the run as the innermost scope on this thread, nested in the
+    /// scope that was innermost before. Its stages fold units until their
+    /// steps exceed `max_steps`; 0 means unlimited. A run destroyed without
+    /// close() (an exception unwound it) unbinds and counts nowhere.
+    explicit RunScope(std::size_t max_steps = 0) : max_steps_(max_steps) {}
+
+    /// Steps of the units folded so far. Read between stages.
+    [[nodiscard]] std::size_t steps_used() const { return steps_used_; }
+    /// Set, for good, when a fold crosses the step limit.
+    [[nodiscard]] bool exhausted() const {
+        return exhausted_.load(std::memory_order_relaxed);
+    }
+
+    /// Unbinds the run and adds its counts and method rows to the enclosing
+    /// scope on this thread, or to the registry's counters and the profiler
+    /// when there is none. Returns the run's own counts as name-sorted
+    /// non-zero (name, value) pairs. Takes no registry lock, so a daemon
+    /// request's close never waits on another request's analysis. Call once.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> close();
+
+    /// --profile charges to the innermost scope on this thread. Site counts
+    /// reach the profiler only from a unit run with a site; outside any
+    /// scope they are dropped.
+    static void charge_taint_steps(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.taint_steps += n;
+    }
+    static void charge_interp_stmts(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.sig_steps += n;
+    }
+    static void charge_contexts(std::uint64_t n) {
+        if (current_ != nullptr) current_->profile.contexts += n;
+    }
+    /// A method row travels like a counter add: it reaches the profiler when
+    /// the outermost scope closes, never from a unit past the cut, and
+    /// straight away when no scope is open.
+    static void charge_method(const std::string& method_key, std::uint64_t taint_steps,
+                              std::uint64_t interp_stmts);
+
+private:
+    friend class Counter;
 
     /// One scope's accumulator: (counter, count) pairs — a unit touches a
-    /// few dozen counters at most — plus the --profile row of a unit
-    /// entered with a site key.
+    /// few dozen counters at most — the method rows, and the site row of a
+    /// unit run with a site.
     struct Unit {
         std::vector<std::pair<Counter*, std::uint64_t>> counts;
+        std::unordered_map<std::string, MethodProfile> methods;
         SiteProfile profile;
 
         void add(Counter* key, std::uint64_t n) {
@@ -97,13 +154,17 @@ public:
             }
             counts.emplace_back(key, n);
         }
+        void add_method(const std::string& key, std::uint64_t taint_steps,
+                        std::uint64_t interp_stmts);
+        /// Adds `other`'s counts and method rows (not its site row).
+        void absorb(const Unit& other);
     };
 
     /// Makes `unit` the innermost scope on this thread until destruction;
     /// a non-empty `site` names the unit's --profile row and times it.
     class Enter {
     public:
-        explicit Enter(Unit& unit, std::string site = {}, Stage stage = Stage::kSlice);
+        explicit Enter(Unit& unit, std::string site = {}, Phase phase = Phase::kSlice);
         ~Enter();
         Enter(const Enter&) = delete;
         Enter& operator=(const Enter&) = delete;
@@ -114,40 +175,67 @@ public:
         std::chrono::steady_clock::time_point start_;
     };
 
-    /// Opens the run as the innermost scope on this thread, nested in the
-    /// scope that was innermost before. A run destroyed without close() (an
-    /// exception unwound it) unbinds and counts nowhere.
-    RunScope() = default;
-
-    /// Folds units [0, cut) into the run in index order and discards the
-    /// rest: work past the budget cut never counts.
-    void fold(std::vector<Unit>& units, std::size_t cut);
-
-    /// Unbinds the run and adds its counts to the enclosing scope on this
-    /// thread, or to the registry's counters when there is none. Returns
-    /// the run's own counts as name-sorted non-zero (name, value) pairs.
-    /// Takes no lock, so a daemon request's close never waits on another
-    /// request's analysis. Call once.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> close();
-
-    /// --profile charges to the innermost scope on this thread; they reach
-    /// the profiler only from a unit entered with a site.
-    static void charge_taint_steps(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.taint_steps += n;
-    }
-    static void charge_interp_stmts(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.sig_steps += n;
-    }
-    static void charge_contexts(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.contexts += n;
-    }
-
-private:
-    friend class Counter;
     static inline thread_local Unit* current_ = nullptr;
 
+    const std::size_t max_steps_;
+    std::size_t steps_used_ = 0;  // written by the open stage's frontier only
+    std::atomic<bool> exhausted_{false};
     Unit run_;
     std::optional<Enter> bound_{std::in_place, run_};
+};
+
+/// One parallel stage of a run: `units` index-addressed units, each run at
+/// most once, on any thread. Units fold into an accumulator the stage owns,
+/// which reaches the run at finish(), so nothing the run's own thread does
+/// meanwhile races with the fold.
+class RunScope::Stage {
+public:
+    Stage(RunScope& run, std::size_t units, Phase phase = Phase::kSlice)
+        : run_(&run), phase_(phase), slots_(units) {}
+    Stage(const Stage&) = delete;
+    Stage& operator=(const Stage&) = delete;
+
+    /// Runs unit `index` on this thread, unless the run's step limit is
+    /// already spent: then the unit lies past the cut and is skipped.
+    /// `work` runs inside the unit and returns its step count (a void
+    /// `work` reports none); a non-empty `site` names its --profile row.
+    template <typename Work>
+    void run(std::size_t index, Work&& work, std::string site = {}) {
+        if (run_->exhausted()) return;
+        std::size_t steps = 0;
+        {
+            Enter enter(slots_[index].unit, std::move(site), phase_);
+            if constexpr (std::is_void_v<std::invoke_result_t<Work&>>) {
+                work();
+            } else {
+                steps = work();
+            }
+        }
+        record(index, steps);
+    }
+
+    /// Call once, on the run's thread, after every unit has run or been
+    /// skipped. Merges the folded units into the run and returns the cut:
+    /// units [0, cut) count, units [cut, n) do not. The cut is n unless the
+    /// limit was crossed; the crossing unit itself counts.
+    [[nodiscard]] std::size_t finish();
+
+private:
+    struct Slot {
+        Unit unit;
+        std::size_t steps = 0;
+        bool done = false;
+    };
+
+    /// Marks `index` done and folds every ready unit, in index order.
+    void record(std::size_t index, std::size_t steps);
+
+    RunScope* run_;
+    const Phase phase_;
+    std::mutex mutex_;
+    std::vector<Slot> slots_;
+    std::size_t frontier_ = 0;
+    Unit folded_;
 };
 
 inline void Counter::add(std::uint64_t n) {

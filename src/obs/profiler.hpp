@@ -15,13 +15,16 @@
 //    costs one load per analysis run and nothing per step (engines keep local
 //    accumulators and flush once per run).
 //
-// Per-site rows ride on the analyzer's obs::RunScope units: core/analyzer.cpp
-// enters one unit per slicing site and per signature context under the
-// site key, and the engines charge the innermost unit — slicing/slicer.cpp
-// (contexts), taint/engine.cpp (steps per run), sig/builder.cpp
-// (interpreter steps per build). Per-method rows are charged directly:
-// taint/engine.cpp (worklist iterations), sig/builder.cpp and
-// interp/interpreter.cpp (statements).
+// Both row kinds ride on obs::RunScope stage units (obs/metrics.hpp), so
+// one rule decides what counts: a unit's rows count only if it folds below
+// the budget cut. core/analyzer.cpp runs one unit per slicing site and per
+// signature context under the site key, and the engines charge the
+// innermost unit — slicing/slicer.cpp (contexts), taint/engine.cpp (steps
+// per run), sig/builder.cpp (interpreter steps per build). A site row
+// reaches this sink when its unit folds. Method rows go through
+// RunScope::charge_method — taint/engine.cpp (worklist iterations),
+// sig/builder.cpp and interp/interpreter.cpp (statements) — and reach it
+// when the outermost scope closes, or at once when no scope is open.
 #pragma once
 
 #include <atomic>
@@ -71,7 +74,8 @@ public:
 
     /// Fold a site-scope delta into the per-site table (sums all fields).
     void merge_site(const SiteProfile& delta);
-    /// Charge per-method work (either count may be zero).
+    /// Charge per-method work (either count may be zero). Engines charge
+    /// through obs::RunScope::charge_method instead.
     void charge_method(std::string_view method_key, std::uint64_t taint_steps,
                        std::uint64_t interp_stmts);
 
@@ -94,8 +98,7 @@ private:
 };
 
 /// Canonical site key, shared by the analyzer's slicing units (kSlice) and
-/// signature units (kSig) so both stages merge into one row. Site rows are
-/// charged through obs::RunScope units (obs/metrics.hpp).
+/// signature units (kSig) so both stages merge into one row.
 [[nodiscard]] std::string profile_site_key(std::string_view app, std::string_view dp,
                                            std::string_view location, std::uint32_t method_index,
                                            std::uint32_t block, std::uint32_t index);

@@ -1461,14 +1461,13 @@ public:
     [[nodiscard]] std::size_t steps() const { return steps_; }
     [[nodiscard]] bool step_capped() const { return step_capped_; }
 
-    /// Flushes per-method statement counts to the global profiler and the
-    /// interpreted-statement total to the innermost obs::RunScope unit.
+    /// Charges the per-method statement counts and the interpreted-statement
+    /// total to the innermost obs::RunScope unit.
     void flush_profile() const {
         if (!profiling_) return;
-        obs::Profiler& profiler = obs::Profiler::global();
         const auto& methods = program_->method_table();
         for (const auto& [mi, stmts] : method_stmts_) {
-            profiler.charge_method(
+            obs::RunScope::charge_method(
                 obs::profile_method_key(program_->app_name,
                                         methods[mi]->ref().qualified()),
                 0, stmts);

@@ -104,7 +104,9 @@ Sig Sig::alt(Sig a, Sig b) {
     // could act on; collapse it to an audited unknown instead of growing an
     // unbounded (and regex-hostile) alternation.
     if (s.children.size() > kMaxAltArms) {
-        obs::counter("sig.unknown_reason.disjunction_capped").add(1);
+        static obs::Counter& capped =
+            obs::counter("sig.unknown_reason.disjunction_capped");
+        capped.add(1);
         return unknown(ValueType::kAny, UnknownReason::kDisjunctionCapped, "alt");
     }
     return s;
@@ -621,7 +623,8 @@ void tag_unknowns(Sig& s, UnknownReason reason, const std::string& origin) {
 
 Sig widen_loop(const Sig& base, const Sig& grown) {
     if (base == grown) return base;
-    obs::counter("sig.unknown_reason.loop_widened").add(1);
+    static obs::Counter& widened = obs::counter("sig.unknown_reason.loop_widened");
+    widened.add(1);
     // JSON arrays grown inside a loop become repeated.
     if (base.kind == Sig::Kind::kJsonArray && grown.kind == Sig::Kind::kJsonArray) {
         Sig out = grown;

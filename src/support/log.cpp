@@ -77,24 +77,6 @@ RecordSink set_record_sink(RecordSink sink) {
     return previous;
 }
 
-Sink set_sink(Sink sink) {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    RecordSink previous = global_sink();
-    if (sink) {
-        global_sink() = [flat = std::move(sink)](const LogRecord& record) {
-            flat(record.level, record.format());
-        };
-    } else {
-        global_sink() = RecordSink();
-    }
-    // Adapt the previous structured sink back to the flat signature so
-    // callers can save/restore through the legacy API.
-    if (!previous) return Sink();
-    return [previous = std::move(previous)](Level level, const std::string& message) {
-        previous(LogRecord{level, message, {}});
-    };
-}
-
 void set_threshold(Level level) {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_threshold = level;

@@ -7,7 +7,7 @@
 //
 // renders as `[INFO] slicing done phase=slicing sites=12`. Every record —
 // from the logger and from the obs subsystem alike — flows through one
-// process-wide RecordSink; the legacy string Sink API is an adapter over it.
+// process-wide RecordSink.
 #pragma once
 
 #include <functional>
@@ -35,13 +35,9 @@ struct LogRecord {
 
 /// Structured sink invoked for every record at or above the threshold.
 using RecordSink = std::function<void(const LogRecord&)>;
-/// Legacy flat sink; receives LogRecord::format() of each record.
-using Sink = std::function<void(Level, const std::string&)>;
 
-/// Replaces the global sink. Returns the previous sink (as installed, or an
-/// adapter if the previous sink was of the other flavor).
+/// Replaces the global sink. Returns the previous sink.
 RecordSink set_record_sink(RecordSink sink);
-Sink set_sink(Sink sink);
 
 /// Sets the minimum level that reaches the sink. Default: kWarn, so library
 /// use is quiet unless something is wrong.

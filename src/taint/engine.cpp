@@ -1322,7 +1322,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         // set, so the profiler charges the true iteration totals instead.
         if (profiling && state.iterations != 0) {
             total_iterations += state.iterations;
-            obs::Profiler::global().charge_method(
+            obs::RunScope::charge_method(
                 obs::profile_method_key(program_->app_name, methods[mi]->ref().qualified()),
                 state.iterations, 0);
         }

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/hash.hpp"
 #include "support/parallel.hpp"
 
 namespace extractocol::txn {
@@ -58,19 +57,6 @@ std::string source_name(SourceKind kind) {
     }
     return "";
 }
-
-/// Stable hash for the edge fold's dedup set.
-struct DependencyHash {
-    std::size_t operator()(const Dependency& d) const {
-        std::size_t seed = 0;
-        hash_combine(seed, d.from);
-        hash_combine(seed, d.to);
-        hash_combine(seed, d.response_field);
-        hash_combine(seed, d.request_field);
-        hash_combine(seed, d.via);
-        return seed;
-    }
-};
 
 }  // namespace
 
@@ -192,10 +178,8 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
         for (FieldTap& tap : response_taps(txns[i])) probes.push_back({i, std::move(tap)});
     }
     std::vector<std::vector<Dependency>> found(probes.size());
-    std::vector<obs::RunScope::Unit> units(probes.size());
 
     auto probe = [&](std::size_t k) {
-        obs::RunScope::Enter unit(units[k]);
         const std::size_t i = probes[k].from;
         const FieldTap& tap = probes[k].tap;
         taps_probed.add(1);
@@ -310,12 +294,14 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
     // The probes' units fold through a scope nested in the caller's, so the
     // caller's run counts their work whichever thread did it.
     obs::RunScope scope;
+    obs::RunScope::Stage stage(scope, probes.size());
+    auto run_probe = [&](std::size_t k) { stage.run(k, [&] { probe(k); }); };
     if (pool != nullptr) {
-        pool->for_each_index(probes.size(), probe);
+        pool->for_each_index(probes.size(), run_probe);
     } else {
-        for (std::size_t k = 0; k < probes.size(); ++k) probe(k);
+        for (std::size_t k = 0; k < probes.size(); ++k) run_probe(k);
     }
-    scope.fold(units, units.size());
+    (void)stage.finish();
 
     // Fold the slots in probe order; the first occurrence of an edge wins.
     std::vector<Dependency> edges;
@@ -325,7 +311,8 @@ std::vector<Dependency> DependencyAnalyzer::analyze(
             if (seen.insert(edge).second) edges.push_back(std::move(edge));
         }
     }
-    obs::counter("txn.pairings").add(edges.size());
+    static obs::Counter& pairings = obs::counter("txn.pairings");
+    pairings.add(edges.size());
     (void)scope.close();
     return edges;
 }

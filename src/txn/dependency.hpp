@@ -12,7 +12,8 @@
 // its tainted calls hit, looked up in a statement index built once per
 // analyze() call; a flow that crossed a global channel checks them all.
 // Each probe writes its edges into its own slot and counts into its own
-// run unit; both fold in probe order, edges deduplicated by hash, so the
+// obs::RunScope stage unit, in an unlimited scope nested in the caller's;
+// both fold in probe order, edges deduplicated by DependencyHash, so the
 // edges and counters are the same at any thread count.
 //
 // It also characterizes behavior: how response data is consumed (media
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "semantics/model.hpp"
+#include "support/hash.hpp"
 #include "slicing/slicer.hpp"
 #include "taint/engine.hpp"
 #include "xir/callgraph.hpp"
@@ -48,6 +50,20 @@ struct Dependency {
     std::string via;
 
     bool operator==(const Dependency&) const = default;
+};
+
+/// Stable hash over every field, for the edge dedup sets: the probe fold
+/// here and the post-remap dedup in core::Analyzer.
+struct DependencyHash {
+    std::size_t operator()(const Dependency& d) const {
+        std::size_t seed = 0;
+        hash_combine(seed, d.from);
+        hash_combine(seed, d.to);
+        hash_combine(seed, d.response_field);
+        hash_combine(seed, d.request_field);
+        hash_combine(seed, d.via);
+        return seed;
+    }
 };
 
 struct BehaviorTags {

@@ -373,41 +373,3 @@ TEST(Interp, ResetClearsState) {
     interpreter.reset();
     EXPECT_EQ(interpreter.trace().transactions.size(), 0u);
 }
-
-TEST(Interp, BudgetStopsEventFiring) {
-    // A shared analysis budget clips each event's step allowance and stops
-    // firing events once exhausted — without aborting the fuzz run.
-    ProgramHarness h;
-    h.handler("a", EventKind::kOnClick, [](MethodBuilder& mb) {
-        emit_get(mb, cs("http://api.example.com/a"));
-    });
-    h.handler("b", EventKind::kOnClick, [](MethodBuilder& mb) {
-        emit_get(mb, cs("http://api.example.com/b"));
-    });
-    Program p = h.pb.build();
-
-    {
-        // Unlimited budget: both handlers fire and the steps are charged.
-        support::BudgetTracker budget(0);
-        EchoServer server;
-        InterpreterOptions options;
-        options.budget = &budget;
-        Interpreter interpreter(p, server, options);
-        http::Trace trace = interpreter.fuzz(FuzzMode::kManual);
-        EXPECT_EQ(trace.transactions.size(), 2u);
-        EXPECT_GT(budget.steps_used(), 0u);
-    }
-    {
-        // A one-step budget: the first event's allowance is clipped to a
-        // single step, so no request completes, and once the charge crosses
-        // the limit the remaining events never fire.
-        support::BudgetTracker budget(1);
-        EchoServer server;
-        InterpreterOptions options;
-        options.budget = &budget;
-        Interpreter interpreter(p, server, options);
-        http::Trace trace = interpreter.fuzz(FuzzMode::kManual);
-        EXPECT_TRUE(trace.transactions.empty());
-        EXPECT_TRUE(server.requests.empty());
-    }
-}

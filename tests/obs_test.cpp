@@ -228,19 +228,21 @@ TEST(Metrics, RunScopeCountsExactlyItsOwnWork) {
 
     std::vector<std::pair<std::string, std::uint64_t>> counts;
     {
-        obs::RunScope run;
+        obs::RunScope run(1);  // the second unit's step crosses the limit
         std::thread neighbour([&shared] {
             for (int i = 0; i < 1'000; ++i) shared.add();
         });
         shared.add(5);
         local_counter.add(3);
-        std::vector<obs::RunScope::Unit> units(3);
-        for (std::size_t i = 0; i < units.size(); ++i) {
-            obs::RunScope::Enter unit(units[i]);
-            unit_only.add(10 * (i + 1));  // 10, 20, 30
-            shared.add(1);
+        obs::RunScope::Stage stage(run, 3);
+        for (std::size_t i : {2, 0, 1}) {  // unit 2 runs first, then lies past the cut
+            stage.run(i, [&] {
+                unit_only.add(10 * (i + 1));  // 10, 20, 30
+                shared.add(1);
+                return std::size_t{1};
+            });
         }
-        run.fold(units, 2);  // unit 2 lies past the cut
+        EXPECT_EQ(stage.finish(), 2u);
         neighbour.join();
         EXPECT_EQ(shared.value(), shared_before + 1'000) << "run adds leaked early";
         counts = run.close();
@@ -253,6 +255,156 @@ TEST(Metrics, RunScopeCountsExactlyItsOwnWork) {
     EXPECT_EQ(shared.value(), shared_before + 1'000 + 7 + 7);
     EXPECT_EQ(unit_only.value(), unit_before + 30);
     EXPECT_EQ(local_counter.value(), 3u);
+}
+
+// --------------------------------------------------------------- stages --
+// A stage's frontier folds units in index order and cuts after the unit
+// whose steps cross the run's limit; the cut depends only on the per-unit
+// step counts, never on the order in which units finish.
+
+namespace {
+
+/// Runs unit `index` of `stage`, reporting `steps`; returns whether it ran.
+bool run_unit(obs::RunScope::Stage& stage, std::size_t index, std::size_t steps) {
+    bool ran = false;
+    stage.run(index, [&] {
+        ran = true;
+        return steps;
+    });
+    return ran;
+}
+
+}  // namespace
+
+TEST(RunScopeStage, UnlimitedNeverExhausts) {
+    obs::RunScope run;
+    obs::RunScope::Stage stage(run, 2);
+    EXPECT_TRUE(run_unit(stage, 0, 1'000'000));
+    EXPECT_TRUE(run_unit(stage, 1, 1'000'000));
+    EXPECT_EQ(stage.finish(), 2u);
+    EXPECT_FALSE(run.exhausted());
+    EXPECT_EQ(run.steps_used(), 2'000'000u);
+    (void)run.close();
+}
+
+TEST(RunScopeStage, CrossingUnitCountsAndExhausts) {
+    obs::RunScope run(10);
+    obs::RunScope::Stage stage(run, 3);
+    EXPECT_TRUE(run_unit(stage, 0, 10));  // exactly at the limit: not exhausted
+    EXPECT_FALSE(run.exhausted());
+    EXPECT_TRUE(run_unit(stage, 1, 1));   // the crossing unit still counts...
+    EXPECT_TRUE(run.exhausted());
+    EXPECT_FALSE(run_unit(stage, 2, 5));  // ...but nothing after it runs
+    EXPECT_EQ(stage.finish(), 2u);
+    EXPECT_EQ(run.steps_used(), 11u);
+    (void)run.close();
+}
+
+TEST(RunScopeStage, CutIsIndexOrderedNotCompletionOrdered) {
+    // Units cost 4 steps each against a limit of 10: the fold crosses the
+    // limit at unit 2 (4+4+4 = 12 > 10), so the cut is 3 — the crossing unit
+    // is kept — no matter in which order the units *finish*. Each unit's
+    // counter add counts only below the cut.
+    obs::Counter& counter = obs::counter("test.run_scope.stage_order");
+    std::vector<std::pair<std::string, std::uint64_t>> counts;
+    {
+        obs::RunScope run(10);
+        obs::RunScope::Stage stage(run, 5);
+        for (std::size_t i : {4, 1, 3, 0, 2}) {  // completion order scrambled
+            stage.run(i, [&] {
+                counter.add(std::uint64_t{1} << i);
+                return std::size_t{4};
+            });
+        }
+        EXPECT_EQ(stage.finish(), 3u);
+        EXPECT_TRUE(run.exhausted());
+        // Only the folded units are charged: 3 * 4, never the dropped tail.
+        EXPECT_EQ(run.steps_used(), 12u);
+        counts = run.close();
+    }
+    using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(counts, (Counts{{"test.run_scope.stage_order", 1 + 2 + 4}}));
+}
+
+TEST(RunScopeStage, WithoutExhaustionKeepsEverything) {
+    obs::RunScope run(100);
+    obs::RunScope::Stage stage(run, 3);
+    for (std::size_t i : {2, 0, 1}) EXPECT_TRUE(run_unit(stage, i, 10));
+    EXPECT_EQ(stage.finish(), 3u);
+    EXPECT_FALSE(run.exhausted());
+    EXPECT_EQ(run.steps_used(), 30u);
+    (void)run.close();
+}
+
+TEST(RunScopeStage, CreatedExhaustedCutsEverything) {
+    obs::RunScope run(1);
+    {
+        obs::RunScope::Stage first(run, 1);
+        EXPECT_TRUE(run_unit(first, 0, 2));
+        EXPECT_EQ(first.finish(), 1u);
+    }
+    ASSERT_TRUE(run.exhausted());
+    obs::RunScope::Stage stage(run, 4);
+    for (std::size_t i = 0; i < 4; ++i) EXPECT_FALSE(run_unit(stage, i, 1));
+    EXPECT_EQ(stage.finish(), 0u);
+    EXPECT_EQ(run.steps_used(), 2u);
+    (void)run.close();
+}
+
+TEST(RunScopeStage, FoldWaitsForTheFrontierUnit) {
+    // Unit 0 missing: nothing folds, so nothing exhausts even though the
+    // later units alone exceed the limit.
+    obs::RunScope run(5);
+    obs::RunScope::Stage stage(run, 3);
+    EXPECT_TRUE(run_unit(stage, 1, 100));
+    EXPECT_TRUE(run_unit(stage, 2, 100));
+    EXPECT_FALSE(run.exhausted());
+    EXPECT_EQ(run.steps_used(), 0u);
+    EXPECT_TRUE(run_unit(stage, 0, 1));  // frontier advances: 1, then 101 > 5
+    EXPECT_TRUE(run.exhausted());
+    EXPECT_EQ(stage.finish(), 2u);
+    EXPECT_EQ(run.steps_used(), 101u);
+    (void)run.close();
+}
+
+TEST(RunScopeStage, DeterministicCutUnderConcurrentRecording) {
+    // The invariant the analyzer's report determinism rests on: identical
+    // per-unit costs produce an identical cut, step total and counts for
+    // every worker count.
+    constexpr std::size_t kUnits = 64;
+    std::vector<std::size_t> costs(kUnits);
+    for (std::size_t i = 0; i < kUnits; ++i) costs[i] = (i * 7) % 13 + 1;
+    obs::Counter& counter = obs::counter("test.run_scope.stage_concurrent");
+
+    struct Outcome {
+        std::size_t cut;
+        std::size_t steps;
+        std::vector<std::pair<std::string, std::uint64_t>> counts;
+    };
+    auto run_at = [&](unsigned jobs) {
+        obs::RunScope run(150);
+        obs::RunScope::Stage stage(run, kUnits);
+        extractocol::support::parallel_for(jobs, kUnits, [&](std::size_t i) {
+            stage.run(i, [&] {
+                counter.add(costs[i]);
+                return costs[i];
+            });
+        });
+        Outcome out{stage.finish(), run.steps_used(), {}};
+        out.counts = run.close();
+        return out;
+    };
+
+    Outcome baseline = run_at(1);
+    ASSERT_LT(baseline.cut, kUnits);
+    ASSERT_EQ(baseline.counts.size(), 1u);
+    EXPECT_EQ(baseline.counts[0].second, baseline.steps);
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        Outcome result = run_at(jobs);
+        EXPECT_EQ(result.cut, baseline.cut) << "cut diverged at jobs=" << jobs;
+        EXPECT_EQ(result.steps, baseline.steps) << "steps diverged at jobs=" << jobs;
+        EXPECT_EQ(result.counts, baseline.counts) << "counts diverged at jobs=" << jobs;
+    }
 }
 
 TEST(Metrics, NestedRunScopeReachesTheRegistryOnceAtTheOutermostClose) {

@@ -59,16 +59,14 @@ TEST(Profiler, DisabledProfilerCollectsNothing) {
 
     EXPECT_TRUE(profiler.sites().empty());
     EXPECT_TRUE(profiler.methods().empty());
-    // A unit entered without a site key (what the analyzer does while the
+    // A unit run without a site key (what the analyzer does while the
     // profiler is off) must not register charges either.
     {
         obs::RunScope run;
-        std::vector<obs::RunScope::Unit> units(1);
-        {
-            obs::RunScope::Enter unit(units[0]);
-            obs::RunScope::charge_taint_steps(7);
-        }
-        run.fold(units, 1);
+        obs::RunScope::Stage stage(run, 1);
+        stage.run(0, [] { obs::RunScope::charge_taint_steps(7); });
+        EXPECT_EQ(stage.finish(), 1u);
+        (void)run.close();
     }
     EXPECT_TRUE(profiler.sites().empty());
 }
@@ -174,55 +172,105 @@ TEST(Profiler, SidecarJsonCarriesTimings) {
     ASSERT_TRUE(reparsed.ok());
 }
 
-TEST(Profiler, RunScopeUnitsNestAndMergeByStageBelowTheCut) {
+TEST(Profiler, TableIsByteIdenticalAcrossJobCountsWhenTheBudgetCutsMidStage) {
+    // At 2,000 steps Pinterest exhausts its budget inside a stage, so at
+    // jobs > 1 units past the cut may already be running when the frontier
+    // crosses. Their site and method rows must count nowhere: the table and
+    // summary equal the jobs 1 ones, however the units were scheduled.
+    corpus::CorpusApp app = corpus::build_app("Pinterest");
+    obs::Profiler& profiler = obs::Profiler::global();
+    auto profile_at = [&](unsigned jobs) {
+        profiler.clear();
+        profiler.set_enabled(true);
+        core::AnalyzerOptions options;
+        options.async_heuristic = !app.spec.open_source;
+        options.jobs = jobs;
+        options.max_total_steps = 2'000;
+        core::AnalysisReport report = core::Analyzer(options).analyze(app.program);
+        profiler.set_enabled(false);
+        EXPECT_TRUE(report.stats.budget_exhausted) << "jobs=" << jobs;
+        EXPECT_EQ(report.stats.budget_steps_used, 2'020u) << "jobs=" << jobs;
+        return std::make_pair(profiler.table(), profiler.summary_json().dump_pretty());
+    };
+
+    const auto baseline = profile_at(1);
+    EXPECT_NE(baseline.first.find("profile: hot app methods"), std::string::npos);
+    for (unsigned jobs : {2u, 8u, 8u, 8u, 8u, 8u}) {
+        const auto result = profile_at(jobs);
+        EXPECT_EQ(result.first, baseline.first) << "profile table diverged at jobs=" << jobs;
+        EXPECT_EQ(result.second, baseline.second)
+            << "profile summary diverged at jobs=" << jobs;
+    }
+    profiler.clear();
+}
+
+TEST(Profiler, RunScopeRowsNestAndMergeByPhaseBelowTheCut) {
     obs::Profiler& profiler = obs::Profiler::global();
     profiler.clear();
     profiler.set_enabled(true);
-    using Stage = obs::RunScope::Stage;
+    using Phase = obs::RunScope::Phase;
 
-    // Charges outside any scope are dropped, not crashed.
+    // Site charges outside any scope are dropped, not crashed; a method row
+    // outside any scope goes straight to the profiler.
     obs::RunScope::charge_taint_steps(1);
     obs::RunScope::charge_interp_stmts(1);
     obs::RunScope::charge_contexts(1);
+    obs::RunScope::charge_method("app|Free.m", 0, 2);
+    ASSERT_EQ(profiler.methods().size(), 1u);
 
     const std::string key = obs::profile_site_key("app", "URL.openConnection",
                                                   "com.a.B.run", 3, 1, 2);
     EXPECT_EQ(key, "app|URL.openConnection @ com.a.B.run (3:1:2)");
     {
-        obs::RunScope run;
+        obs::RunScope run(10);
         obs::RunScope::charge_taint_steps(100);  // the run itself has no row
-        std::vector<obs::RunScope::Unit> slice(3);
+        obs::RunScope::charge_method("app|B.m", 0, 4);
         {
-            obs::RunScope::Enter unit(slice[0], key, Stage::kSlice);
-            obs::RunScope::charge_taint_steps(10);
-            obs::RunScope::charge_contexts(2);
-            {
-                // An inner unit captures charges until it closes; the outer
-                // unit then resumes as the charge target.
-                obs::RunScope::Enter inner(slice[1], "app|other @ m (0:0:0)",
-                                           Stage::kSlice);
-                obs::RunScope::charge_taint_steps(5);
-            }
-            obs::RunScope::charge_taint_steps(1);
-        }
-        {
-            // Past the budget cut below: its charges never reach a row.
-            obs::RunScope::Enter dropped(slice[2], "app|cut @ m (0:0:1)", Stage::kSlice);
-            obs::RunScope::charge_taint_steps(1000);
-        }
-        run.fold(slice, 2);
-        std::vector<obs::RunScope::Unit> sig(2);
-        {
-            // Same site, sig stage: merges into the same row.
-            obs::RunScope::Enter unit(sig[0], key, Stage::kSig);
-            obs::RunScope::charge_interp_stmts(20);
-        }
-        {
+            obs::RunScope::Stage sig(run, 2, Phase::kSig);
+            // Same site as the slicing unit below: merges into one row.
+            sig.run(0, [] { obs::RunScope::charge_interp_stmts(20); }, key);
             // An empty key gives the unit no profile row at all.
-            obs::RunScope::Enter unit(sig[1]);
-            obs::RunScope::charge_interp_stmts(99);
+            sig.run(1, [] { obs::RunScope::charge_interp_stmts(99); });
+            EXPECT_EQ(sig.finish(), 2u);
         }
-        run.fold(sig, 2);
+        obs::RunScope::Stage slice(run, 3, Phase::kSlice);
+        slice.run(
+            2,
+            [] {
+                // Past the cut below: none of its charges reach a row.
+                obs::RunScope::charge_taint_steps(1000);
+                obs::RunScope::charge_method("app|A.m", 1000, 0);
+                obs::RunScope::charge_method("app|Cut.m", 1, 0);
+                return std::size_t{1};
+            },
+            "app|cut @ m (0:0:1)");
+        slice.run(
+            0,
+            [&] {
+                obs::RunScope::charge_taint_steps(10);
+                obs::RunScope::charge_contexts(2);
+                obs::RunScope::charge_method("app|A.m", 3, 0);
+                {
+                    // A nested run's unit captures charges until it folds;
+                    // the outer unit then resumes as the charge target.
+                    obs::RunScope inner;
+                    obs::RunScope::Stage nested(inner, 1);
+                    nested.run(0, [] { obs::RunScope::charge_taint_steps(5); },
+                               "app|other @ m (0:0:0)");
+                    EXPECT_EQ(nested.finish(), 1u);
+                    (void)inner.close();
+                }
+                obs::RunScope::charge_taint_steps(1);
+                return std::size_t{5};
+            },
+            key);
+        slice.run(1, [] { return std::size_t{6}; });  // 5 + 1 + 6 > 10
+        EXPECT_EQ(slice.finish(), 2u);
+        EXPECT_EQ(run.steps_used(), 11u);
+        EXPECT_TRUE(run.exhausted());
+        // Method rows wait for the outermost close, like counter adds.
+        EXPECT_EQ(profiler.methods().size(), 1u);
+        (void)run.close();
     }
     profiler.set_enabled(false);
 
@@ -235,6 +283,14 @@ TEST(Profiler, RunScopeUnitsNestAndMergeByStageBelowTheCut) {
     EXPECT_GE(sites[0].slice_seconds, 0.0);
     EXPECT_GE(sites[0].sig_seconds, 0.0);
     EXPECT_EQ(sites[1].taint_steps, 5u);
+
+    auto methods = profiler.methods();
+    ASSERT_EQ(methods.size(), 3u);
+    EXPECT_EQ(methods[0].method, "app|B.m");
+    EXPECT_EQ(methods[0].interp_stmts, 4u);
+    EXPECT_EQ(methods[1].method, "app|A.m");
+    EXPECT_EQ(methods[1].taint_steps, 3u);
+    EXPECT_EQ(methods[2].method, "app|Free.m");
     profiler.clear();
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/budget.hpp"
 #include "support/hash.hpp"
 #include "support/log.hpp"
 #include "support/sha256.hpp"
@@ -288,15 +287,15 @@ TEST_F(LogTest, SetSinkReturnsPrevious) {
     EXPECT_EQ(records_[0].message, "to original");
 }
 
-TEST_F(LogTest, LegacyFlatSinkAdapter) {
+TEST_F(LogTest, RecordSinkSeesLevelAndFormattedFields) {
     std::vector<std::pair<xlog::Level, std::string>> flat;
-    xlog::set_sink([&flat](xlog::Level level, const std::string& text) {
-        flat.emplace_back(level, text);
+    xlog::set_record_sink([&flat](const xlog::LogRecord& record) {
+        flat.emplace_back(record.level, record.format());
     });
     xlog::error().kv("regex", "a+") << "compile failed";
     ASSERT_EQ(flat.size(), 1u);
     EXPECT_EQ(flat[0].first, xlog::Level::kError);
-    // Flat sinks receive the formatted record, fields included.
+    // The formatted record carries the fields after the message.
     EXPECT_EQ(flat[0].second, "compile failed regex=a+");
 }
 
@@ -312,109 +311,6 @@ TEST(LogLevels, Names) {
     EXPECT_STREQ(xlog::level_name(xlog::Level::kInfo), "INFO");
     EXPECT_STREQ(xlog::level_name(xlog::Level::kWarn), "WARN");
     EXPECT_STREQ(xlog::level_name(xlog::Level::kError), "ERROR");
-}
-
-// ----------------------------------------------------------------- budget --
-
-using extractocol::support::BudgetTracker;
-
-TEST(Budget, UnlimitedNeverExhausts) {
-    BudgetTracker budget(0);
-    EXPECT_FALSE(budget.limited());
-    EXPECT_TRUE(budget.charge(1'000'000));
-    EXPECT_FALSE(budget.exhausted());
-    EXPECT_EQ(budget.steps_used(), 1'000'000u);
-    EXPECT_GT(budget.remaining(), 1u << 30);
-}
-
-TEST(Budget, ChargeCrossingTheLimitCountsAndExhausts) {
-    BudgetTracker budget(10);
-    EXPECT_TRUE(budget.charge(10));    // exactly at the limit: not exhausted
-    EXPECT_FALSE(budget.exhausted());
-    EXPECT_FALSE(budget.charge(1));    // the crossing charge still counts...
-    EXPECT_TRUE(budget.exhausted());
-    EXPECT_EQ(budget.steps_used(), 11u);
-    EXPECT_FALSE(budget.charge(5));    // ...but nothing after it does
-    EXPECT_EQ(budget.steps_used(), 11u);
-    EXPECT_EQ(budget.remaining(), 0u);
-}
-
-TEST(Budget, StageCutIsIndexOrderedNotCompletionOrdered) {
-    // Units cost 4 steps each against a budget of 10: the fold crosses the
-    // limit at unit 2 (4+4+4 = 12 > 10), so the cut is 3 — the crossing unit
-    // is kept — no matter in which order the units *finish*.
-    BudgetTracker budget(10);
-    auto stage = budget.stage(5);
-    stage.record(4, 4);  // completion order deliberately scrambled
-    stage.record(1, 4);
-    stage.record(3, 4);
-    stage.record(0, 4);
-    stage.record(2, 4);
-    EXPECT_EQ(stage.finish(), 3u);
-    EXPECT_TRUE(budget.exhausted());
-    // Only the folded units are charged: 3 * 4, never the dropped tail.
-    EXPECT_EQ(budget.steps_used(), 12u);
-}
-
-TEST(Budget, StageWithoutExhaustionKeepsEverything) {
-    BudgetTracker budget(100);
-    auto stage = budget.stage(3);
-    stage.record(2, 10);
-    stage.record(0, 10);
-    stage.record(1, 10);
-    EXPECT_EQ(stage.finish(), 3u);
-    EXPECT_FALSE(budget.exhausted());
-    EXPECT_EQ(budget.steps_used(), 30u);
-}
-
-TEST(Budget, StageCreatedExhaustedCutsEverything) {
-    BudgetTracker budget(1);
-    (void)budget.charge(2);
-    ASSERT_TRUE(budget.exhausted());
-    auto stage = budget.stage(4);
-    EXPECT_TRUE(stage.should_skip());
-    EXPECT_EQ(stage.finish(), 0u);
-}
-
-TEST(Budget, FoldWaitsForTheFrontierUnit) {
-    // Unit 0 missing: nothing folds, so nothing exhausts even though the
-    // later units alone exceed the limit.
-    BudgetTracker budget(5);
-    auto stage = budget.stage(3);
-    stage.record(1, 100);
-    stage.record(2, 100);
-    EXPECT_FALSE(budget.exhausted());
-    EXPECT_EQ(budget.steps_used(), 0u);
-    stage.record(0, 1);  // frontier advances: 1, then 101 > 5 -> cut after 1
-    EXPECT_TRUE(budget.exhausted());
-    EXPECT_EQ(stage.finish(), 2u);
-    EXPECT_EQ(budget.steps_used(), 101u);
-}
-
-TEST(Budget, DeterministicCutUnderConcurrentRecording) {
-    // The invariant the analyzer's report determinism rests on: identical
-    // per-unit costs produce an identical cut for every worker count.
-    constexpr std::size_t kUnits = 64;
-    std::vector<std::size_t> costs(kUnits);
-    for (std::size_t i = 0; i < kUnits; ++i) costs[i] = (i * 7) % 13 + 1;
-
-    auto run = [&](unsigned jobs) {
-        BudgetTracker budget(150);
-        auto stage = budget.stage(kUnits);
-        extractocol::support::parallel_for(jobs, kUnits, [&](std::size_t i) {
-            if (stage.should_skip()) return;
-            stage.record(i, costs[i]);
-        });
-        return std::make_pair(stage.finish(), budget.steps_used());
-    };
-
-    auto baseline = run(1);
-    for (unsigned jobs : {2u, 4u, 8u}) {
-        auto result = run(jobs);
-        EXPECT_EQ(result.first, baseline.first) << "cut diverged at jobs=" << jobs;
-        EXPECT_EQ(result.second, baseline.second)
-            << "steps diverged at jobs=" << jobs;
-    }
 }
 
 // ------------------------------------------------------------- memtrack --

@@ -12,7 +12,9 @@
 #   * --progress reports on stderr only — stdout is byte-identical with and
 #     without it;
 #   * --memtrack at --jobs 1 attributes a non-zero per-app peak_bytes
-#     (skipped with a warning on libcs without malloc_usable_size).
+#     (skipped with a warning on libcs without malloc_usable_size);
+#   * --profile under a step budget that cuts mid-stage prints the same
+#     stderr at --jobs 1 and --jobs 8.
 #
 # Expected definitions: EXTRACTOCOL, MAKE_CORPUS, WORK_DIR.
 
@@ -201,5 +203,28 @@ foreach(needle "extractocol.eval/v1" "\"fleet\"" "\"triage\"" "\"counts\"")
     message(FATAL_ERROR "eval sidecar missing ${needle}:\n${eval_text}")
   endif()
 endforeach()
+
+# --- --profile under a budget cut: identical stderr at any --jobs ----------
+# Pinterest exhausts 2,000 steps inside a stage, so at --jobs 8 units past
+# the cut may run; none of their rows may reach the table.
+foreach(jobs 1 8)
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --jobs ${jobs} --max-steps 2000 --profile
+            "${WORK_DIR}/corpus/pinterest.xapk"
+    RESULT_VARIABLE rc_profile
+    OUTPUT_QUIET
+    ERROR_VARIABLE profile_err_${jobs})
+  if(NOT rc_profile EQUAL 0)
+    message(FATAL_ERROR "--max-steps --profile at --jobs ${jobs} exited ${rc_profile}")
+  endif()
+endforeach()
+string(FIND "${profile_err_1}" "profile: hot app methods" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "--profile printed no method table:\n${profile_err_1}")
+endif()
+if(NOT profile_err_1 STREQUAL profile_err_8)
+  message(FATAL_ERROR "--profile stderr differs between --jobs 1 and --jobs 8:\n"
+                      "${profile_err_1}\n--- vs ---\n${profile_err_8}")
+endif()
 
 message(STATUS "cli telemetry: all checks passed")
