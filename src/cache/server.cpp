@@ -449,7 +449,7 @@ std::string run_request(ServerState& state, std::uint64_t connection_id,
     auto start = std::chrono::steady_clock::now();
     Reply reply = handle_request(state, line, shutdown, record);
     auto end = std::chrono::steady_clock::now();
-    auto counters = scope.close();
+    auto counters = scope.close().counters;
     std::string payload = reply.head.dump();
     if (!reply.report.empty()) {
         // `"report":<bytes>` joins as the last member: exactly the dump of

@@ -144,10 +144,10 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
         report.audit.dp_sites.push_back(std::move(a));
     }
 
-    // --profile row key of a DP site (empty when the profiler is off). The
+    // --profile row key of a DP site (empty unless the run profiles). The
     // slicing unit and the signature units of one site share it, so both
     // stages merge into one table row.
-    const bool profiling = obs::Profiler::global().enabled();
+    const bool profiling = obs::RunScope::profiling();
     auto profile_key = [&](const StmtRef& site) {
         auto it = audit_index.find(site);
         if (!profiling || it == audit_index.end()) return std::string();
@@ -445,22 +445,10 @@ AnalysisReport Analyzer::analyze(const Program& input_program) const {
     analyze_span.finish();
     report.stats.analysis_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    report.stats.counters = run.close();
-
-    // Per-symbol unmodeled-API counts travel as counters (every recording
-    // site is a plain obs::counter bump); here they are pulled out of the
-    // run's counters into the audit table so --metrics stays readable.
-    constexpr std::string_view kUnmodeledPrefix = "audit.unmodeled_api.";
-    auto& counters = report.stats.counters;
-    for (auto it = counters.begin(); it != counters.end();) {
-        if (strings::starts_with(it->first, kUnmodeledPrefix)) {
-            report.audit.unmodeled_apis.emplace_back(
-                it->first.substr(kUnmodeledPrefix.size()), it->second);
-            it = counters.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    obs::RunScope::Ledger ledger = run.close();
+    report.stats.counters = std::move(ledger.counters);
+    report.audit.unmodeled_apis.assign(ledger.unmodeled_apis.begin(),
+                                       ledger.unmodeled_apis.end());
     std::sort(report.audit.unmodeled_apis.begin(), report.audit.unmodeled_apis.end(),
               [](const auto& a, const auto& b) {
                   if (a.second != b.second) return a.second > b.second;

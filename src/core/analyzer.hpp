@@ -132,7 +132,8 @@ struct AnalysisAudit {
     /// Per-site outcomes, in demarcation-site order.
     std::vector<DpSiteAudit> dp_sites;
     /// Calls to APIs with no semantics/model entry observed during this run
-    /// ("Cls.method" -> calls), count descending then name ascending.
+    /// ("Cls.method" -> calls), count descending then name ascending. The
+    /// run's obs::RunScope tallies them; they are never registry metrics.
     std::vector<std::pair<std::string, std::uint64_t>> unmodeled_apis;
 
     [[nodiscard]] std::size_t count_outcome(std::string_view outcome) const;

@@ -218,7 +218,7 @@ struct Interpreter::Impl {
     Impl(const Program& p, FakeServer& s, InterpreterOptions o)
         : program(&p), server(&s), options(o) {
         trace.app = p.app_name;
-        profiling = obs::Profiler::global().enabled();
+        profiling = obs::RunScope::profiling();
     }
 
     void flush_profile() {

@@ -306,36 +306,22 @@ void MetricsRegistry::reset() {
 
 // ----------------------------------------------------------- run scopes --
 
-void RunScope::Unit::add_method(const std::string& key, std::uint64_t taint_steps,
-                                std::uint64_t interp_stmts) {
-    auto [it, inserted] = methods.try_emplace(key);
-    if (inserted) it->second.method = key;
-    it->second.taint_steps += taint_steps;
-    it->second.interp_stmts += interp_stmts;
-}
-
 void RunScope::Unit::absorb(const Unit& other) {
     for (const auto& [counter, n] : other.counts) add(counter, n);
-    for (const auto& [key, row] : other.methods) {
-        add_method(key, row.taint_steps, row.interp_stmts);
-    }
+    for (const auto& [api, n] : other.unmodeled_apis) unmodeled_apis[api] += n;
+    profile.merge(other.profile);
 }
 
-void RunScope::charge_method(const std::string& method_key, std::uint64_t taint_steps,
-                             std::uint64_t interp_stmts) {
-    if (taint_steps == 0 && interp_stmts == 0) return;
-    if (current_ != nullptr) {
-        current_->add_method(method_key, taint_steps, interp_stmts);
-    } else {
-        Profiler::global().charge_method(method_key, taint_steps, interp_stmts);
-    }
+RunScope::RunScope(std::size_t max_steps, bool profile) : max_steps_(max_steps) {
+    run_.profiling = profile || profiling();
+    bound_.emplace(run_);
 }
 
 RunScope::Enter::Enter(Unit& unit, std::string site, Phase phase) : prev_(current_) {
     if (!site.empty()) {
-        unit.profile.site = std::move(site);
-        seconds_ = phase == Phase::kSlice ? &unit.profile.slice_seconds
-                                          : &unit.profile.sig_seconds;
+        unit.site_row.site = std::move(site);
+        seconds_ = phase == Phase::kSlice ? &unit.site_row.slice_seconds
+                                          : &unit.site_row.sig_seconds;
         start_ = std::chrono::steady_clock::now();
     }
     current_ = &unit;
@@ -357,8 +343,12 @@ void RunScope::Stage::record(std::size_t index, std::size_t steps) {
     // ran or not, so their scheduling-dependent completion changes nothing.
     while (!run_->exhausted() && frontier_ < slots_.size() && slots_[frontier_].done) {
         Slot& slot = slots_[frontier_++];
+        SiteProfile& row = slot.unit.site_row;
+        if (!row.site.empty()) {
+            (phase_ == Phase::kSlice ? row.taint_steps : row.sig_steps) = slot.steps;
+            slot.unit.profile.merge_site(row);
+        }
         folded_.absorb(slot.unit);
-        if (!slot.unit.profile.site.empty()) Profiler::global().merge_site(slot.unit.profile);
         slot.unit = Unit{};
         run_->steps_used_ += slot.steps;
         if (run_->max_steps_ != 0 && run_->steps_used_ > run_->max_steps_) {
@@ -374,7 +364,7 @@ std::size_t RunScope::Stage::finish() {
     return frontier_;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> RunScope::close() {
+RunScope::Ledger RunScope::close() {
     bound_.reset();
     // Global-registry counters live as long as the process and their names
     // never change, so no registry lock is needed here.
@@ -385,15 +375,14 @@ std::vector<std::pair<std::string, std::uint64_t>> RunScope::close() {
         for (const auto& [counter, n] : run_.counts) {
             counter->value_.fetch_add(n, std::memory_order_relaxed);
         }
-        for (const auto& [key, row] : run_.methods) {
-            Profiler::global().charge_method(key, row.taint_steps, row.interp_stmts);
-        }
     }
-    std::vector<std::pair<std::string, std::uint64_t>> out;
+    Ledger out;
     for (const auto& [counter, n] : run_.counts) {
-        if (n != 0) out.emplace_back(counter->name_, n);
+        if (n != 0) out.counters.emplace_back(counter->name_, n);
     }
-    std::sort(out.begin(), out.end());
+    std::sort(out.counters.begin(), out.counters.end());
+    out.unmodeled_apis = std::move(run_.unmodeled_apis);
+    out.profile = std::move(run_.profile);
     return out;
 }
 

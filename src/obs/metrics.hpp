@@ -28,13 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,8 +72,8 @@ private:
 // core::Analyzer::analyze opens one RunScope per run; the CLI opens one
 // over its whole run, analyze_batch one over its inputs and the daemon one
 // per request. While a scope is innermost on a thread, adds to
-// global-registry counters and --profile charges land in it, so a run
-// counts exactly its own work.
+// global-registry counters, unmodeled-API calls and --profile charges land
+// in it, so a run counts exactly its own work.
 //
 // Parallel work goes through a Stage: one unit per index, run on whichever
 // pool thread claims it. Each unit reports its step count, and the stage's
@@ -83,24 +83,39 @@ private:
 // The cut depends only on the per-unit step counts, so counters, steps and
 // --profile rows are the same at any thread count.
 //
-// Scopes nest: a closing run folds into the scope enclosing it on its
-// thread, and only an outermost run folds into the registry and the
-// profiler, the exact process aggregate. Steps do not nest: each run keeps
-// its own.
+// Scopes nest: a closing run folds its whole ledger into the scope
+// enclosing it on its thread, and only an outermost run adds its counters
+// to the registry, the exact process aggregate. Profiling is inherited:
+// nested runs and stage units profile when the run they sit in does. Steps
+// do not nest: each run keeps its own.
 class RunScope {
     struct Unit;
 
 public:
-    /// Which wall-clock column of a --profile site row a stage's units time.
+    /// Which step and wall-clock columns of a --profile site row a stage's
+    /// units fill.
     enum class Phase { kSlice, kSig };
 
     class Stage;
 
+    /// Everything a run counted, handed back by close().
+    struct Ledger {
+        /// Name-sorted non-zero counter totals.
+        std::vector<std::pair<std::string, std::uint64_t>> counters;
+        /// Calls that reached an API neither the app nor the semantic model
+        /// defines, keyed "Cls.method" (the report's unmodeled-API table).
+        std::map<std::string, std::uint64_t> unmodeled_apis;
+        /// --profile site and method rows; empty unless the run profiles.
+        Profiler profile;
+    };
+
     /// Opens the run as the innermost scope on this thread, nested in the
     /// scope that was innermost before. Its stages fold units until their
-    /// steps exceed `max_steps`; 0 means unlimited. A run destroyed without
-    /// close() (an exception unwound it) unbinds and counts nowhere.
-    explicit RunScope(std::size_t max_steps = 0) : max_steps_(max_steps) {}
+    /// steps exceed `max_steps`; 0 means unlimited. The run collects
+    /// --profile rows when `profile` is set or the enclosing scope profiles.
+    /// A run destroyed without close() (an exception unwound it) unbinds and
+    /// counts nowhere.
+    explicit RunScope(std::size_t max_steps = 0, bool profile = false);
 
     /// Steps of the units folded so far. Read between stages.
     [[nodiscard]] std::size_t steps_used() const { return steps_used_; }
@@ -109,41 +124,52 @@ public:
         return exhausted_.load(std::memory_order_relaxed);
     }
 
-    /// Unbinds the run and adds its counts and method rows to the enclosing
-    /// scope on this thread, or to the registry's counters and the profiler
-    /// when there is none. Returns the run's own counts as name-sorted
-    /// non-zero (name, value) pairs. Takes no registry lock, so a daemon
-    /// request's close never waits on another request's analysis. Call once.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> close();
+    /// Unbinds the run, adds its ledger to the enclosing scope on this
+    /// thread (its counters to the registry when there is none) and returns
+    /// the run's own ledger. Takes no registry lock, so a daemon request's
+    /// close never waits on another request's analysis. Call once.
+    [[nodiscard]] Ledger close();
 
-    /// --profile charges to the innermost scope on this thread. Site counts
-    /// reach the profiler only from a unit run with a site; outside any
-    /// scope they are dropped.
-    static void charge_taint_steps(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.taint_steps += n;
+    /// Whether the innermost scope on this thread collects --profile rows;
+    /// engines read it once per run and skip their per-method tallies when
+    /// it is off.
+    [[nodiscard]] static bool profiling() {
+        return current_ != nullptr && current_->profiling;
     }
-    static void charge_interp_stmts(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.sig_steps += n;
+    /// Counts one unmodeled-API call in the innermost scope; dropped
+    /// outside any scope.
+    static void count_unmodeled_api(std::string_view class_name,
+                                    std::string_view method_name) {
+        if (current_ != nullptr) {
+            current_->unmodeled_apis[std::string(class_name).append(".").append(method_name)] += 1;
+        }
     }
+    /// --profile charges to the innermost scope on this thread; outside any
+    /// scope they are dropped. Contexts reach a site row only from a unit
+    /// run with a site. A method row travels like a counter add and never
+    /// counts from a unit past the cut.
     static void charge_contexts(std::uint64_t n) {
-        if (current_ != nullptr) current_->profile.contexts += n;
+        if (current_ != nullptr) current_->site_row.contexts += n;
     }
-    /// A method row travels like a counter add: it reaches the profiler when
-    /// the outermost scope closes, never from a unit past the cut, and
-    /// straight away when no scope is open.
     static void charge_method(const std::string& method_key, std::uint64_t taint_steps,
-                              std::uint64_t interp_stmts);
+                              std::uint64_t interp_stmts) {
+        if (current_ != nullptr) {
+            current_->profile.charge_method(method_key, taint_steps, interp_stmts);
+        }
+    }
 
 private:
     friend class Counter;
 
     /// One scope's accumulator: (counter, count) pairs — a unit touches a
-    /// few dozen counters at most — the method rows, and the site row of a
-    /// unit run with a site.
+    /// few dozen counters at most — the unmodeled-API tally, the --profile
+    /// rows folded into it, and the site row of a unit run with a site.
     struct Unit {
         std::vector<std::pair<Counter*, std::uint64_t>> counts;
-        std::unordered_map<std::string, MethodProfile> methods;
-        SiteProfile profile;
+        std::map<std::string, std::uint64_t> unmodeled_apis;
+        Profiler profile;
+        SiteProfile site_row;
+        bool profiling = false;
 
         void add(Counter* key, std::uint64_t n) {
             for (auto& [counter, count] : counts) {
@@ -154,9 +180,8 @@ private:
             }
             counts.emplace_back(key, n);
         }
-        void add_method(const std::string& key, std::uint64_t taint_steps,
-                        std::uint64_t interp_stmts);
-        /// Adds `other`'s counts and method rows (not its site row).
+        /// Adds `other`'s counts, unmodeled-API tally and rows (not its own
+        /// site row).
         void absorb(const Unit& other);
     };
 
@@ -181,7 +206,7 @@ private:
     std::size_t steps_used_ = 0;  // written by the open stage's frontier only
     std::atomic<bool> exhausted_{false};
     Unit run_;
-    std::optional<Enter> bound_{std::in_place, run_};
+    std::optional<Enter> bound_;
 };
 
 /// One parallel stage of a run: `units` index-addressed units, each run at
@@ -198,12 +223,14 @@ public:
     /// Runs unit `index` on this thread, unless the run's step limit is
     /// already spent: then the unit lies past the cut and is skipped.
     /// `work` runs inside the unit and returns its step count (a void
-    /// `work` reports none); a non-empty `site` names its --profile row.
+    /// `work` reports none); a non-empty `site` names its --profile row,
+    /// whose step column for the stage's phase is that count.
     template <typename Work>
     void run(std::size_t index, Work&& work, std::string site = {}) {
         if (run_->exhausted()) return;
         std::size_t steps = 0;
         {
+            slots_[index].unit.profiling = run_->run_.profiling;
             Enter enter(slots_[index].unit, std::move(site), phase_);
             if constexpr (std::is_void_v<std::invoke_result_t<Work&>>) {
                 work();

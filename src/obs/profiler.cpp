@@ -9,19 +9,7 @@
 
 namespace extractocol::obs {
 
-Profiler& Profiler::global() {
-    static Profiler instance;
-    return instance;
-}
-
-void Profiler::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sites_.clear();
-    methods_.clear();
-}
-
 void Profiler::merge_site(const SiteProfile& delta) {
-    std::lock_guard<std::mutex> lock(mutex_);
     SiteProfile& row = sites_[delta.site];
     row.site = delta.site;
     row.taint_steps += delta.taint_steps;
@@ -34,20 +22,23 @@ void Profiler::merge_site(const SiteProfile& delta) {
 void Profiler::charge_method(std::string_view method_key, std::uint64_t taint_steps,
                              std::uint64_t interp_stmts) {
     if (taint_steps == 0 && interp_stmts == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
     MethodProfile& row = methods_[std::string(method_key)];
     if (row.method.empty()) row.method = std::string(method_key);
     row.taint_steps += taint_steps;
     row.interp_stmts += interp_stmts;
 }
 
+void Profiler::merge(const Profiler& other) {
+    for (const auto& [key, row] : other.sites_) merge_site(row);
+    for (const auto& [key, row] : other.methods_) {
+        charge_method(key, row.taint_steps, row.interp_stmts);
+    }
+}
+
 std::vector<SiteProfile> Profiler::sites() const {
     std::vector<SiteProfile> out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out.reserve(sites_.size());
-        for (const auto& [key, row] : sites_) out.push_back(row);
-    }
+    out.reserve(sites_.size());
+    for (const auto& [key, row] : sites_) out.push_back(row);
     std::sort(out.begin(), out.end(), [](const SiteProfile& a, const SiteProfile& b) {
         if (a.total_steps() != b.total_steps()) return a.total_steps() > b.total_steps();
         return a.site < b.site;
@@ -57,11 +48,8 @@ std::vector<SiteProfile> Profiler::sites() const {
 
 std::vector<MethodProfile> Profiler::methods() const {
     std::vector<MethodProfile> out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out.reserve(methods_.size());
-        for (const auto& [key, row] : methods_) out.push_back(row);
-    }
+    out.reserve(methods_.size());
+    for (const auto& [key, row] : methods_) out.push_back(row);
     std::sort(out.begin(), out.end(), [](const MethodProfile& a, const MethodProfile& b) {
         if (a.total_steps() != b.total_steps()) return a.total_steps() > b.total_steps();
         return a.method < b.method;
@@ -140,22 +128,15 @@ text::Json Profiler::summary_json() const {
     std::uint64_t sig_steps = 0;
     std::uint64_t interp_stmts = 0;
     std::uint64_t contexts = 0;
-    std::size_t site_count = 0;
-    std::size_t method_count = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        site_count = sites_.size();
-        method_count = methods_.size();
-        for (const auto& [key, s] : sites_) {
-            taint_steps += s.taint_steps;
-            sig_steps += s.sig_steps;
-            contexts += s.contexts;
-        }
-        for (const auto& [key, m] : methods_) interp_stmts += m.interp_stmts;
+    for (const auto& [key, s] : sites_) {
+        taint_steps += s.taint_steps;
+        sig_steps += s.sig_steps;
+        contexts += s.contexts;
     }
+    for (const auto& [key, m] : methods_) interp_stmts += m.interp_stmts;
     text::Json doc = text::Json::object();
-    doc.set("sites", text::Json(static_cast<std::int64_t>(site_count)));
-    doc.set("methods", text::Json(static_cast<std::int64_t>(method_count)));
+    doc.set("sites", text::Json(static_cast<std::int64_t>(sites_.size())));
+    doc.set("methods", text::Json(static_cast<std::int64_t>(methods_.size())));
     doc.set("taint_steps", text::Json(static_cast<std::int64_t>(taint_steps)));
     doc.set("sig_steps", text::Json(static_cast<std::int64_t>(sig_steps)));
     doc.set("interp_stmts", text::Json(static_cast<std::int64_t>(interp_stmts)));
@@ -196,13 +177,15 @@ std::string profile_method_key(std::string_view app, std::string_view qualified_
 
 namespace {
 
-// Batches run framework code, never user callbacks that could re-enter the
-// pool, so observing histograms here (registry mutex) is safe.
+// Fires once per pool batch, so the six histograms are looked up (registry
+// mutex) once per process, not per batch.
 void observe_batch_stats(const support::BatchStats& stats) {
-    auto& queue_wait = histogram("parallel.queue_wait_ms");
-    auto& busy = histogram("parallel.busy_ms");
-    auto& claimed = histogram("parallel.claimed_indices");
-    auto& utilization = histogram("parallel.utilization");
+    static Histogram& queue_wait = histogram("parallel.queue_wait_ms");
+    static Histogram& busy = histogram("parallel.busy_ms");
+    static Histogram& claimed = histogram("parallel.claimed_indices");
+    static Histogram& utilization = histogram("parallel.utilization");
+    static Histogram& batch_ms = histogram("parallel.batch_ms");
+    static Histogram& imbalance = histogram("parallel.imbalance");
     double max_busy = 0.0;
     double sum_busy = 0.0;
     for (const support::WorkerBatchStats& w : stats.participants) {
@@ -213,10 +196,10 @@ void observe_batch_stats(const support::BatchStats& stats) {
         max_busy = std::max(max_busy, w.busy_ms);
         sum_busy += w.busy_ms;
     }
-    histogram("parallel.batch_ms").observe(stats.wall_ms);
+    batch_ms.observe(stats.wall_ms);
     if (!stats.participants.empty()) {
         double mean = sum_busy / static_cast<double>(stats.participants.size());
-        histogram("parallel.imbalance").observe(mean > 0.0 ? max_busy / mean : 1.0);
+        imbalance.observe(mean > 0.0 ? max_busy / mean : 1.0);
     }
 }
 

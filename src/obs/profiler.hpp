@@ -11,25 +11,26 @@
 //  * Wall-clock attribution (slice/sig self-time) is inherently racy across
 //    runs, so it is confined to the `--profile-out` sidecar JSON, which is
 //    exempt from the determinism contract.
-//  * Everything is gated on a single relaxed atomic; a disabled profiler
-//    costs one load per analysis run and nothing per step (engines keep local
-//    accumulators and flush once per run).
+//  * Profiling is a property of a run (obs::RunScope, obs/metrics.hpp): the
+//    CLI opens its run with profiling on, and nested runs and stage units
+//    inherit it. A run that does not profile costs one flag read per
+//    analysis, taint run and build, and nothing per step (engines keep
+//    local accumulators and charge once per run).
 //
-// Both row kinds ride on obs::RunScope stage units (obs/metrics.hpp), so
-// one rule decides what counts: a unit's rows count only if it folds below
-// the budget cut. core/analyzer.cpp runs one unit per slicing site and per
-// signature context under the site key, and the engines charge the
-// innermost unit — slicing/slicer.cpp (contexts), taint/engine.cpp (steps
-// per run), sig/builder.cpp (interpreter steps per build). A site row
-// reaches this sink when its unit folds. Method rows go through
+// A Profiler is a plain value: the rows of one run. Both row kinds ride on
+// the run's stage units, so one rule decides what counts: a unit's rows
+// count only if it folds below the budget cut. core/analyzer.cpp runs one
+// unit per slicing site and per signature context under the site key; a
+// site row's step column is its unit's step count, by phase, and
+// slicing/slicer.cpp charges its contexts. Method rows go through
 // RunScope::charge_method — taint/engine.cpp (worklist iterations),
-// sig/builder.cpp and interp/interpreter.cpp (statements) — and reach it
-// when the outermost scope closes, or at once when no scope is open.
+// sig/builder.cpp and interp/interpreter.cpp (statements). Nested runs
+// absorb their rows like their counters, and RunScope::close() hands the
+// run's rows back in its ledger; `--profile`, `--profile-out` and the
+// manifest totals render the CLI run's.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,23 +62,17 @@ struct MethodProfile {
     [[nodiscard]] std::uint64_t total_steps() const { return taint_steps + interp_stmts; }
 };
 
-/// Global sink for attribution records. Disabled by default; `--profile`
-/// (or tests) flips it on before analysis starts.
+/// The --profile rows of one run, keyed by site and by method.
 class Profiler {
 public:
-    static Profiler& global();
-
-    void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-    [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-    void clear();
-
-    /// Fold a site-scope delta into the per-site table (sums all fields).
+    /// Fold a site row into the per-site table (sums all fields).
     void merge_site(const SiteProfile& delta);
     /// Charge per-method work (either count may be zero). Engines charge
     /// through obs::RunScope::charge_method instead.
     void charge_method(std::string_view method_key, std::uint64_t taint_steps,
                        std::uint64_t interp_stmts);
+    /// Adds every row of `other`.
+    void merge(const Profiler& other);
 
     /// Snapshots sorted by total cost descending, then key ascending.
     [[nodiscard]] std::vector<SiteProfile> sites() const;
@@ -91,8 +86,6 @@ public:
     [[nodiscard]] text::Json summary_json() const;
 
 private:
-    std::atomic<bool> enabled_{false};
-    mutable std::mutex mutex_;
     std::unordered_map<std::string, SiteProfile> sites_;
     std::unordered_map<std::string, MethodProfile> methods_;
 };

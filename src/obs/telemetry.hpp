@@ -213,8 +213,9 @@ public:
     /// with, next to the registry's gauges and histograms. Rendered into the
     /// manifest with Prometheus-sanitized names.
     void set_metrics(MetricsSnapshot snapshot);
-    /// Attaches the profiler's deterministic totals (Profiler::summary_json)
-    /// as the manifest's "profile" section. Omitted when never set.
+    /// Attaches the run's deterministic profile totals (its ledger's
+    /// Profiler::summary_json) as the manifest's "profile" section. Omitted
+    /// when never set.
     void set_profile_summary(text::Json summary);
     /// Attaches the fleet accuracy block (eval::FleetEval::accuracy_json) as
     /// the manifest fleet's "accuracy" section. Omitted when never set.

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -130,39 +129,11 @@ text::Json TraceRecorder::to_chrome_json() const {
     return doc;
 }
 
-std::string TraceRecorder::summary() const {
-    std::vector<TraceEvent> sorted = events();
-    // Spans are appended when they *close*, so children precede parents;
-    // replaying in (thread, start, depth) order restores the tree.
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                         if (a.thread != b.thread) return a.thread < b.thread;
-                         if (a.start_us != b.start_us) return a.start_us < b.start_us;
-                         return a.depth < b.depth;
-                     });
-    std::string out;
-    std::uint32_t current_thread = 0;
-    bool first = true;
-    for (const auto& e : sorted) {
-        if (first || e.thread != current_thread) {
-            out += "thread " + std::to_string(e.thread) + ":\n";
-            current_thread = e.thread;
-            first = false;
-        }
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(e.duration_us) / 1000.0);
-        out += std::string(2 + 2 * static_cast<std::size_t>(e.depth), ' ') + e.name +
-               " (" + e.category + ") " + buf + " ms\n";
-    }
-    return out;
-}
-
 std::string TraceRecorder::to_collapsed() const {
     std::vector<TraceEvent> sorted = events();
-    // Same replay as summary(): events are appended at span *close* (children
-    // before parents); (thread, start, depth) order walks each thread's tree
-    // top-down, so a running frame stack reconstructs ancestry.
+    // Events are appended at span *close* (children before parents);
+    // (thread, start, depth) order walks each thread's tree top-down, so a
+    // running frame stack reconstructs ancestry.
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                          if (a.thread != b.thread) return a.thread < b.thread;

@@ -84,9 +84,6 @@ public:
     /// (ph "M") per registered thread so Perfetto labels each row; spans
     /// follow as "X" complete events.
     [[nodiscard]] text::Json to_chrome_json() const;
-    /// Indented per-thread tree: one line per span, children beneath
-    /// parents, with millisecond durations.
-    [[nodiscard]] std::string summary() const;
     /// Brendan Gregg collapsed-stack format for flamegraph.pl / speedscope:
     /// one line per unique span stack, `root;child;leaf <self_us>`, where
     /// the value is the stack's *self* time in microseconds (own duration

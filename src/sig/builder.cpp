@@ -82,7 +82,7 @@ public:
           model_(&model),
           handlers_(&handlers),
           request_(&request),
-          profiling_(obs::Profiler::global().enabled()) {
+          profiling_(obs::RunScope::profiling()) {
         response_root_ = std::make_shared<DemandNode>();
     }
 
@@ -603,9 +603,7 @@ private:
         auto record_unmodeled = [&] {
             if (program_->find_class(s.callee.class_name)) return;
             if (model_->is_modeled(s.callee.class_name, s.callee.method_name)) return;
-            obs::counter("audit.unmodeled_api." + s.callee.class_name + "." +
-                         s.callee.method_name)
-                .add(1);
+            obs::RunScope::count_unmodeled_api(s.callee.class_name, s.callee.method_name);
         };
 
         switch (action) {
@@ -1461,8 +1459,8 @@ public:
     [[nodiscard]] std::size_t steps() const { return steps_; }
     [[nodiscard]] bool step_capped() const { return step_capped_; }
 
-    /// Charges the per-method statement counts and the interpreted-statement
-    /// total to the innermost obs::RunScope unit.
+    /// Charges the per-method statement counts to the innermost
+    /// obs::RunScope unit (the site row's count is the build's steps()).
     void flush_profile() const {
         if (!profiling_) return;
         const auto& methods = program_->method_table();
@@ -1472,7 +1470,6 @@ public:
                                         methods[mi]->ref().qualified()),
                 0, stmts);
         }
-        obs::RunScope::charge_interp_stmts(steps_);
     }
 };
 

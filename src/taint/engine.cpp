@@ -194,7 +194,7 @@ struct TaintEngine::MethodState {
     std::set<std::pair<std::uint32_t, BlockId>> summary_subscribers;
     DenseBitset queued;  // worklist membership, over the method's blocks
     DenseBitset slice;   // slice statements, over the method's statements
-    std::uint64_t iterations = 0;  // worklist steps, for --profile
+    std::uint64_t iterations = 0;  // worklist steps, for its --profile method row
 };
 
 struct TaintEngine::Run {
@@ -210,6 +210,8 @@ struct TaintEngine::Run {
     std::deque<std::pair<std::uint32_t, BlockId>> worklist;
     std::unordered_map<std::uint32_t, CallTaintEvent> events;  // keyed by flat stmt id
     TaintResult result;
+    /// Worklist iterations, counted whatever the step cap: the run's
+    /// steps_used and its one taint.worklist_iterations add.
     std::size_t steps = 0;
 };
 
@@ -334,9 +336,7 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         if (program_->find_class(s.callee.class_name)) return;
         if (model_->is_modeled(s.callee.class_name, s.callee.method_name)) return;
         unmodeled_api_calls_.add(1);
-        obs::counter("audit.unmodeled_api." + s.callee.class_name + "." +
-                     s.callee.method_name)
-            .add(1);
+        obs::RunScope::count_unmodeled_api(s.callee.class_name, s.callee.method_name);
     };
 
     auto note_event = [&](const StmtRef& ref, bool base_t, bool dst_t,
@@ -1196,8 +1196,8 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
 
     // ------------------------------ main worklist loop ------------------
     while (!run.worklist.empty()) {
-        iterations_.add(1);
-        if (options_.max_steps && ++run.steps > options_.max_steps) {
+        ++run.steps;
+        if (options_.max_steps != 0 && run.steps > options_.max_steps) {
             log::warn().kv("max_steps", options_.max_steps)
                 << "taint engine hit step limit; result is truncated";
             run.result.truncated = true;
@@ -1305,10 +1305,11 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
         }
     }
 
+    iterations_.add(run.steps);
+
     // Materialize the per-method slices into the sorted result vector:
     // states ascend by method and each slice bitset by (block, index).
-    const bool profiling = obs::Profiler::global().enabled();
-    std::uint64_t total_iterations = 0;
+    const bool profiling = obs::RunScope::profiling();
     for (const auto& [mi, state] : run.states) {
         const std::uint32_t first = block_base_[mi];
         BlockId b = 0;
@@ -1318,16 +1319,12 @@ TaintResult TaintEngine::run(Direction direction, const std::vector<TaintSeed>& 
             run.result.statements.push_back(
                 StmtRef{mi, b, static_cast<std::uint32_t>(si - stmt_base_[first + b])});
         });
-        // --profile attribution: run.steps only counts when a step cap is
-        // set, so the profiler charges the true iteration totals instead.
         if (profiling && state.iterations != 0) {
-            total_iterations += state.iterations;
             obs::RunScope::charge_method(
                 obs::profile_method_key(program_->app_name, methods[mi]->ref().qualified()),
                 state.iterations, 0);
         }
     }
-    if (profiling) obs::RunScope::charge_taint_steps(total_iterations);
 
     for (auto& [key, ev] : run.events) run.result.call_events.push_back(std::move(ev));
     std::sort(run.result.call_events.begin(), run.result.call_events.end(),

@@ -470,6 +470,41 @@ TEST(DaemonTest, FailedFileReadIsNotACacheMiss) {
     ::close(fd);
 }
 
+TEST(DaemonTest, UnmodeledApisStayInTheReportNotInTheMetrics) {
+    // The unmodeled-API table is report data: a served report carries the
+    // same table a direct analysis does, and neither the registry nor the
+    // metrics op grows a per-API series for it.
+    constexpr std::string_view kAuditPrefix = "audit.unmodeled_api.";
+    TempDir dir("unmodeled");
+    DaemonFixture daemon(base_options(dir));
+    int fd = daemon.connect_fd();
+    ASSERT_GE(fd, 0);
+    const std::string text = corpus_text("Letgo");
+    Json response = DaemonFixture::request(fd, xapk_request(text, 1));
+    ASSERT_TRUE(ok_of(response));
+
+    core::AnalyzerOptions options = base_options(dir).analyzer;
+    Result<core::AnalysisReport> direct = core::Analyzer(options).analyze_xapk(text);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_FALSE(direct.value().audit.unmodeled_apis.empty());
+    const Json* report = response.find("report");
+    const Json* audit = report != nullptr ? report->find("audit") : nullptr;
+    const Json* served = audit != nullptr ? audit->find("unmodeled_apis") : nullptr;
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(served->dump(), direct.value().audit.to_json().find("unmodeled_apis")->dump());
+
+    Json counters = metrics_counters(fd);
+    ASSERT_TRUE(counters.is_object());
+    EXPECT_GT(counter_of(counters, "taint.unmodeled_api_calls"), 0);
+    for (const auto& [name, value] : counters.members()) {
+        EXPECT_NE(name.rfind(kAuditPrefix, 0), 0u) << name;
+    }
+    for (const auto& [name, value] : obs::MetricsRegistry::global().snapshot().counters) {
+        EXPECT_NE(name.rfind(kAuditPrefix, 0), 0u) << name;
+    }
+    ::close(fd);
+}
+
 TEST(DaemonTest, TwoDaemonsInOneProcessEachCountOnlyTheirOwnWork) {
     // Two daemons serve at once in one process. Each metrics op reports
     // exactly its own requests and cache hits, however the other daemon's

@@ -295,7 +295,7 @@ TEST(DeterminismTest, RunManifestAndPrometheusAreByteIdenticalAcrossJobCounts) {
         // the CLI; gauges and histograms are the registry's.
         obs::RunScope scope;
         auto items = core::Analyzer(options).analyze_batch(inputs);
-        std::vector<std::pair<std::string, std::uint64_t>> counters = scope.close();
+        std::vector<std::pair<std::string, std::uint64_t>> counters = scope.close().counters;
         obs::MetricsSnapshot run_metrics = obs::MetricsRegistry::global().snapshot();
         run_metrics.counters = std::move(counters);
 
@@ -511,15 +511,15 @@ TEST(DeterminismTest, ProfileTableIsByteIdenticalAcrossJobCounts) {
     ASSERT_GE(names.size(), 3u);
     names.resize(3);
 
-    obs::Profiler& profiler = obs::Profiler::global();
+    // The apps run inside one profiling run, as the CLI's batch does.
+    obs::Profiler profiler;
     auto run = [&](unsigned jobs) {
-        profiler.clear();
-        profiler.set_enabled(true);
+        obs::RunScope scope(0, /*profile=*/true);
         for (const auto& name : names) {
             corpus::CorpusApp app = corpus::build_app(name);
             (void)analyze(app.program, app.spec.open_source, jobs);
         }
-        profiler.set_enabled(false);
+        profiler = scope.close().profile;
     };
 
     run(1);
@@ -559,7 +559,6 @@ TEST(DeterminismTest, ProfileTableIsByteIdenticalAcrossJobCounts) {
                 << methods[i].method << " jobs=" << jobs;
         }
     }
-    profiler.clear();
 }
 
 TEST(DeterminismTest, DaemonStatusMetricsAndJournalSkeletonAcrossJobCounts) {

@@ -36,46 +36,42 @@ core::AnalysisReport analyze(const xir::Program& program, bool open_source,
     return core::Analyzer(options).analyze(program);
 }
 
-/// Enables the profiler, clears it, runs one corpus app, disables again.
-void profile_app(const corpus::CorpusApp& app, unsigned jobs) {
-    obs::Profiler& profiler = obs::Profiler::global();
-    profiler.clear();
-    profiler.set_enabled(true);
+/// Runs one corpus app inside a profiling run and returns that run's rows.
+obs::Profiler profile_app(const corpus::CorpusApp& app, unsigned jobs) {
+    obs::RunScope run(0, /*profile=*/true);
     core::AnalysisReport report = analyze(app.program, app.spec.open_source, jobs);
-    profiler.set_enabled(false);
-    ASSERT_FALSE(report.transactions.empty()) << app.spec.name;
+    EXPECT_FALSE(report.transactions.empty()) << app.spec.name;
+    return run.close().profile;
 }
 
 }  // namespace
 
 TEST(Profiler, DisabledProfilerCollectsNothing) {
-    obs::Profiler& profiler = obs::Profiler::global();
-    profiler.clear();
-    profiler.set_enabled(false);
-
     corpus::CorpusApp app = corpus::build_app(corpus::open_source_apps().front());
+    obs::RunScope run;
+    EXPECT_FALSE(obs::RunScope::profiling());
     core::AnalysisReport report = analyze(app.program, app.spec.open_source, 1);
     ASSERT_FALSE(report.transactions.empty());
-
+    // A unit run without a site key (what the analyzer does while the run
+    // does not profile) must not register charges either.
+    {
+        obs::RunScope::Stage stage(run, 1);
+        stage.run(0, [] {
+            EXPECT_FALSE(obs::RunScope::profiling());
+            obs::RunScope::charge_contexts(7);
+            return std::size_t{7};
+        });
+        EXPECT_EQ(stage.finish(), 1u);
+    }
+    obs::Profiler profiler = run.close().profile;
     EXPECT_TRUE(profiler.sites().empty());
     EXPECT_TRUE(profiler.methods().empty());
-    // A unit run without a site key (what the analyzer does while the
-    // profiler is off) must not register charges either.
-    {
-        obs::RunScope run;
-        obs::RunScope::Stage stage(run, 1);
-        stage.run(0, [] { obs::RunScope::charge_taint_steps(7); });
-        EXPECT_EQ(stage.finish(), 1u);
-        (void)run.close();
-    }
-    EXPECT_TRUE(profiler.sites().empty());
 }
 
 TEST(Profiler, AttributesWorkToSitesAndMethods) {
     corpus::CorpusApp app = corpus::build_app(corpus::open_source_apps().front());
-    profile_app(app, 1);
+    obs::Profiler profiler = profile_app(app, 1);
 
-    obs::Profiler& profiler = obs::Profiler::global();
     auto sites = profiler.sites();
     auto methods = profiler.methods();
     ASSERT_FALSE(sites.empty());
@@ -121,27 +117,26 @@ TEST(Profiler, AttributesWorkToSitesAndMethods) {
 TEST(Profiler, TableIsByteIdenticalAcrossJobCounts) {
     corpus::CorpusApp app = corpus::build_app(corpus::open_source_apps().front());
 
-    profile_app(app, 1);
-    std::string baseline_table = obs::Profiler::global().table();
-    text::Json baseline_summary = obs::Profiler::global().summary_json();
+    obs::Profiler baseline = profile_app(app, 1);
+    std::string baseline_table = baseline.table();
+    text::Json baseline_summary = baseline.summary_json();
     EXPECT_NE(baseline_table.find("profile: hot DP sites"), std::string::npos);
     EXPECT_NE(baseline_table.find("profile: hot app methods"), std::string::npos);
 
     for (unsigned jobs : {2u, 8u}) {
-        profile_app(app, jobs);
-        EXPECT_EQ(obs::Profiler::global().table(), baseline_table)
+        obs::Profiler profiler = profile_app(app, jobs);
+        EXPECT_EQ(profiler.table(), baseline_table)
             << "profile table diverged at jobs=" << jobs;
-        EXPECT_EQ(obs::Profiler::global().summary_json().dump_pretty(),
-                  baseline_summary.dump_pretty())
+        EXPECT_EQ(profiler.summary_json().dump_pretty(), baseline_summary.dump_pretty())
             << "profile summary diverged at jobs=" << jobs;
     }
 }
 
 TEST(Profiler, SidecarJsonCarriesTimings) {
     corpus::CorpusApp app = corpus::build_app(corpus::open_source_apps().front());
-    profile_app(app, 2);
+    obs::Profiler profiler = profile_app(app, 2);
 
-    text::Json doc = obs::Profiler::global().to_json();
+    text::Json doc = profiler.to_json();
     EXPECT_EQ(doc.find("schema")->as_string(), "extractocol.profile/v1");
     const text::Json* totals = doc.find("totals");
     ASSERT_NE(totals, nullptr);
@@ -164,7 +159,7 @@ TEST(Profiler, SidecarJsonCarriesTimings) {
     EXPECT_TRUE(timed) << "sidecar rows carry no wall-clock attribution";
 
     // The deterministic table must NOT leak timings.
-    std::string table = obs::Profiler::global().table();
+    std::string table = profiler.table();
     EXPECT_EQ(table.find("seconds"), std::string::npos);
 
     // Round-trips through the JSON parser.
@@ -178,16 +173,14 @@ TEST(Profiler, TableIsByteIdenticalAcrossJobCountsWhenTheBudgetCutsMidStage) {
     // crosses. Their site and method rows must count nowhere: the table and
     // summary equal the jobs 1 ones, however the units were scheduled.
     corpus::CorpusApp app = corpus::build_app("Pinterest");
-    obs::Profiler& profiler = obs::Profiler::global();
     auto profile_at = [&](unsigned jobs) {
-        profiler.clear();
-        profiler.set_enabled(true);
+        obs::RunScope run(0, /*profile=*/true);
         core::AnalyzerOptions options;
         options.async_heuristic = !app.spec.open_source;
         options.jobs = jobs;
         options.max_total_steps = 2'000;
         core::AnalysisReport report = core::Analyzer(options).analyze(app.program);
-        profiler.set_enabled(false);
+        obs::Profiler profiler = run.close().profile;
         EXPECT_TRUE(report.stats.budget_exhausted) << "jobs=" << jobs;
         EXPECT_EQ(report.stats.budget_steps_used, 2'020u) << "jobs=" << jobs;
         return std::make_pair(profiler.table(), profiler.summary_json().dump_pretty());
@@ -201,36 +194,34 @@ TEST(Profiler, TableIsByteIdenticalAcrossJobCountsWhenTheBudgetCutsMidStage) {
         EXPECT_EQ(result.second, baseline.second)
             << "profile summary diverged at jobs=" << jobs;
     }
-    profiler.clear();
 }
 
 TEST(Profiler, RunScopeRowsNestAndMergeByPhaseBelowTheCut) {
-    obs::Profiler& profiler = obs::Profiler::global();
-    profiler.clear();
-    profiler.set_enabled(true);
     using Phase = obs::RunScope::Phase;
 
-    // Site charges outside any scope are dropped, not crashed; a method row
-    // outside any scope goes straight to the profiler.
-    obs::RunScope::charge_taint_steps(1);
-    obs::RunScope::charge_interp_stmts(1);
+    // Charges outside any scope are dropped, not crashed, and nothing
+    // profiles there.
+    EXPECT_FALSE(obs::RunScope::profiling());
     obs::RunScope::charge_contexts(1);
     obs::RunScope::charge_method("app|Free.m", 0, 2);
-    ASSERT_EQ(profiler.methods().size(), 1u);
 
     const std::string key = obs::profile_site_key("app", "URL.openConnection",
                                                   "com.a.B.run", 3, 1, 2);
     EXPECT_EQ(key, "app|URL.openConnection @ com.a.B.run (3:1:2)");
+    obs::Profiler profiler;
+    obs::Profiler inner_rows;
     {
-        obs::RunScope run(10);
-        obs::RunScope::charge_taint_steps(100);  // the run itself has no row
+        obs::RunScope run(200, /*profile=*/true);
+        EXPECT_TRUE(obs::RunScope::profiling());
+        obs::RunScope::charge_contexts(100);  // the run itself has no row
         obs::RunScope::charge_method("app|B.m", 0, 4);
         {
             obs::RunScope::Stage sig(run, 2, Phase::kSig);
-            // Same site as the slicing unit below: merges into one row.
-            sig.run(0, [] { obs::RunScope::charge_interp_stmts(20); }, key);
+            // Same site as the slicing unit below: merges into one row, its
+            // step count in the sig column.
+            sig.run(0, [] { return std::size_t{20}; }, key);
             // An empty key gives the unit no profile row at all.
-            sig.run(1, [] { obs::RunScope::charge_interp_stmts(99); });
+            sig.run(1, [] { return std::size_t{99}; });
             EXPECT_EQ(sig.finish(), 2u);
         }
         obs::RunScope::Stage slice(run, 3, Phase::kSlice);
@@ -238,60 +229,61 @@ TEST(Profiler, RunScopeRowsNestAndMergeByPhaseBelowTheCut) {
             2,
             [] {
                 // Past the cut below: none of its charges reach a row.
-                obs::RunScope::charge_taint_steps(1000);
+                obs::RunScope::charge_contexts(1000);
                 obs::RunScope::charge_method("app|A.m", 1000, 0);
                 obs::RunScope::charge_method("app|Cut.m", 1, 0);
-                return std::size_t{1};
+                return std::size_t{1000};
             },
             "app|cut @ m (0:0:1)");
         slice.run(
             0,
             [&] {
-                obs::RunScope::charge_taint_steps(10);
+                EXPECT_TRUE(obs::RunScope::profiling());  // units inherit it
                 obs::RunScope::charge_contexts(2);
                 obs::RunScope::charge_method("app|A.m", 3, 0);
                 {
-                    // A nested run's unit captures charges until it folds;
-                    // the outer unit then resumes as the charge target.
+                    // A nested run inherits profiling; its unit captures
+                    // charges until it folds, and its close hands back its
+                    // own rows while the outer unit absorbs them.
                     obs::RunScope inner;
+                    EXPECT_TRUE(obs::RunScope::profiling());
                     obs::RunScope::Stage nested(inner, 1);
-                    nested.run(0, [] { obs::RunScope::charge_taint_steps(5); },
-                               "app|other @ m (0:0:0)");
+                    nested.run(0, [] { return std::size_t{5}; }, "app|other @ m (0:0:0)");
                     EXPECT_EQ(nested.finish(), 1u);
-                    (void)inner.close();
+                    inner_rows = inner.close().profile;
                 }
-                obs::RunScope::charge_taint_steps(1);
+                obs::RunScope::charge_contexts(1);
                 return std::size_t{5};
             },
             key);
-        slice.run(1, [] { return std::size_t{6}; });  // 5 + 1 + 6 > 10
+        slice.run(1, [] { return std::size_t{80}; });  // 119 + 5 + 80 > 200
         EXPECT_EQ(slice.finish(), 2u);
-        EXPECT_EQ(run.steps_used(), 11u);
+        EXPECT_EQ(run.steps_used(), 204u);
         EXPECT_TRUE(run.exhausted());
-        // Method rows wait for the outermost close, like counter adds.
-        EXPECT_EQ(profiler.methods().size(), 1u);
-        (void)run.close();
+        profiler = run.close().profile;
     }
-    profiler.set_enabled(false);
+    EXPECT_FALSE(obs::RunScope::profiling());
+
+    ASSERT_EQ(inner_rows.sites().size(), 1u);
+    EXPECT_EQ(inner_rows.sites()[0].taint_steps, 5u);
 
     auto sites = profiler.sites();
     ASSERT_EQ(sites.size(), 2u);
-    EXPECT_EQ(sites[0].site, key);  // 11 taint + 20 sig beats the inner 5
-    EXPECT_EQ(sites[0].taint_steps, 11u);
+    EXPECT_EQ(sites[0].site, key);  // 5 taint + 20 sig beats the inner 5
+    EXPECT_EQ(sites[0].taint_steps, 5u);
     EXPECT_EQ(sites[0].sig_steps, 20u);
-    EXPECT_EQ(sites[0].contexts, 2u);
+    EXPECT_EQ(sites[0].contexts, 3u);
     EXPECT_GE(sites[0].slice_seconds, 0.0);
     EXPECT_GE(sites[0].sig_seconds, 0.0);
+    EXPECT_EQ(sites[1].site, "app|other @ m (0:0:0)");
     EXPECT_EQ(sites[1].taint_steps, 5u);
 
     auto methods = profiler.methods();
-    ASSERT_EQ(methods.size(), 3u);
+    ASSERT_EQ(methods.size(), 2u);
     EXPECT_EQ(methods[0].method, "app|B.m");
     EXPECT_EQ(methods[0].interp_stmts, 4u);
     EXPECT_EQ(methods[1].method, "app|A.m");
     EXPECT_EQ(methods[1].taint_steps, 3u);
-    EXPECT_EQ(methods[2].method, "app|Free.m");
-    profiler.clear();
 }
 
 TEST(Profiler, ContentionHistogramsPopulateUnderParallelism) {

@@ -398,6 +398,25 @@ TEST(AnalysisBudget, UnlimitedBudgetMatchesDefaultReport) {
     EXPECT_GT(baseline.stats.budget_steps_used, 0u);
 }
 
+TEST(AnalysisBudget, UnlimitedTaintRunsStillChargeTheBudget) {
+    // max_taint_steps = 0 lifts only the per-run cap: every worklist
+    // iteration still counts against max_total_steps, so where no run
+    // reaches the default cap the steps and the cut are the default's.
+    corpus::CorpusApp app = corpus::build_app("Pinterest");
+    for (std::size_t cap : {std::size_t{0}, std::size_t{2'000}, std::size_t{20'000}}) {
+        core::AnalyzerOptions capped;
+        capped.max_total_steps = cap;
+        core::AnalyzerOptions uncapped = capped;
+        uncapped.max_taint_steps = 0;
+        core::AnalysisReport expected = core::Analyzer(capped).analyze(app.program);
+        core::AnalysisReport report = core::Analyzer(uncapped).analyze(app.program);
+        EXPECT_EQ(report.stats.budget_steps_used, expected.stats.budget_steps_used) << cap;
+        EXPECT_EQ(report.stats.budget_exhausted, expected.stats.budget_exhausted) << cap;
+        EXPECT_EQ(report.audit.to_text(), expected.audit.to_text()) << cap;
+        EXPECT_EQ(report.to_text(), expected.to_text()) << cap;
+    }
+}
+
 TEST(AnalysisBudget, ExhaustionDegradesToPartialReportNeverAborts) {
     corpus::CorpusApp app = corpus::build_app("blippex");
     core::AnalysisReport full = core::Analyzer().analyze(app.program);

@@ -4,7 +4,9 @@
 #   * every flag the parser accepts appears in that list (the usage text is
 #     the authoritative surface — a flag added to main() without a help line
 #     fails here);
-#   * no arguments and an unknown option both exit 2 with usage on stderr.
+#   * no arguments and an unknown option both exit 2 with usage on stderr;
+#   * --serve refuses --profile, --profile-out, --run-manifest, --eval and
+#     --eval-out (exit 2, one error line).
 #
 # Expected definitions: EXTRACTOCOL.
 
@@ -82,6 +84,26 @@ foreach(value_flag --profile-out --flamegraph --eval-out
   string(FIND "${novalue_err}" "option '${value_flag}' requires a value" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "${value_flag} must report its missing value:\n${novalue_err}")
+  endif()
+endforeach()
+
+# --serve refuses the batch-run outputs it would otherwise ignore. The
+# socket's directory does not exist, so a daemon that wrongly started
+# would fail to bind and exit at once instead of serving.
+foreach(batch_flag --profile "--profile-out;p.json" "--run-manifest;m.json" --eval
+                   "--eval-out;e.json")
+  execute_process(
+    COMMAND "${EXTRACTOCOL}" --serve /nonexistent-extractocol-dir/x.sock ${batch_flag}
+    RESULT_VARIABLE rc_serve
+    OUTPUT_QUIET
+    ERROR_VARIABLE serve_err
+    TIMEOUT 20)
+  if(NOT rc_serve EQUAL 2)
+    message(FATAL_ERROR "--serve ${batch_flag} must exit 2, got ${rc_serve}")
+  endif()
+  string(FIND "${serve_err}" "do not apply to --serve" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "--serve ${batch_flag} must be refused:\n${serve_err}")
   endif()
 endforeach()
 

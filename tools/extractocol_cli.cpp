@@ -427,6 +427,13 @@ int main(int argc, char** argv) {
                      "error: --journal/--journal-max-bytes/--slow-ms require --serve\n");
         return usage(argv[0]);
     }
+    if (serve_path && (profile || profile_out_path != nullptr || manifest_path != nullptr ||
+                       eval_flag || eval_out_path != nullptr)) {
+        std::fprintf(stderr,
+                     "error: --profile/--profile-out/--run-manifest/--eval/--eval-out "
+                     "do not apply to --serve\n");
+        return usage(argv[0]);
+    }
     bool admin_client = status_flag || metrics_live;
     if (paths.empty() && !serve_path && !admin_client) return usage(argv[0]);
     if (explain && paths.size() != 1) {
@@ -447,7 +454,6 @@ int main(int argc, char** argv) {
     // --flamegraph folds the same span tree --trace exports, so either flag
     // turns the recorder on.
     if (trace_path || flamegraph_path) obs::TraceRecorder::global().set_enabled(true);
-    if (profile || profile_out_path) obs::Profiler::global().set_enabled(true);
     if (memtrack_flag) {
         // Enable before the inputs load so the gauges see the whole run's
         // heap, not just the analysis phase.
@@ -534,9 +540,9 @@ int main(int argc, char** argv) {
             log::set_status_line(line);
         };
     }
-    // The batch, the cache and eval count into this scope: the manifest's
-    // counters.
-    obs::RunScope run;
+    // The batch, the cache and eval count into this scope: its ledger holds
+    // the manifest's counters and, under --profile/--profile-out, the rows.
+    obs::RunScope run(0, profile || profile_out_path != nullptr);
     std::uint64_t run_timestamp_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -548,15 +554,8 @@ int main(int argc, char** argv) {
         cache_options.max_bytes = static_cast<std::uint64_t>(cache_max_bytes);
         report_cache = std::make_unique<cache::ReportCache>(cache_options);
     }
-    std::vector<core::BatchItem> items;
-    if (report_cache) {
-        cache::CachedBatch cached = cache::analyze_batch_cached(
-            options, report_cache.get(), std::move(inputs));
-        items = std::move(cached.items);
-    } else {
-        core::Analyzer analyzer(options);
-        items = analyzer.analyze_batch(std::move(inputs));
-    }
+    std::vector<core::BatchItem> items =
+        cache::analyze_batch_cached(options, report_cache.get(), std::move(inputs)).items;
     double run_wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - run_started)
             .count();
@@ -587,7 +586,7 @@ int main(int argc, char** argv) {
         eval::record_metrics(eval_results, eval_fleet);
     }
     // Closed before --metrics and --metrics-prom read the registry.
-    auto run_counters = run.close();
+    obs::RunScope::Ledger ledger = run.close();
 
     int exit_code = 0;
     text::Json batch = text::Json::array();
@@ -665,11 +664,11 @@ int main(int argc, char** argv) {
     if (profile) {
         // stderr, like --stats/--metrics: stdout stays the report stream.
         // The table is counts-only and byte-identical for any --jobs value.
-        std::fprintf(stderr, "%s", obs::Profiler::global().table().c_str());
+        std::fprintf(stderr, "%s", ledger.profile.table().c_str());
     }
     if (profile_out_path &&
         !write_output(profile_out_path, "profile",
-                      obs::Profiler::global().to_json().dump_pretty() + "\n")) {
+                      ledger.profile.to_json().dump_pretty() + "\n")) {
         return 1;
     }
     if (!write_run_outputs(flamegraph_path, trace_path, metrics_prom_path)) return 1;
@@ -681,10 +680,10 @@ int main(int argc, char** argv) {
         // The run scope's counters; the registry's gauges and histograms
         // ride along whole.
         obs::MetricsSnapshot run_metrics = obs::MetricsRegistry::global().snapshot();
-        run_metrics.counters = std::move(run_counters);
+        run_metrics.counters = std::move(ledger.counters);
         telemetry.set_metrics(std::move(run_metrics));
         if (profile || profile_out_path) {
-            telemetry.set_profile_summary(obs::Profiler::global().summary_json());
+            telemetry.set_profile_summary(ledger.profile.summary_json());
         }
         if (do_eval) telemetry.set_fleet_accuracy(eval_fleet.accuracy_json());
         if (report_cache) telemetry.set_cache(report_cache->stats_json());
